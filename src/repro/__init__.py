@@ -33,7 +33,7 @@ Sub-packages:
 * :mod:`repro.bench` -- per-figure/table experiment harness.
 """
 
-from .baselines import ALGORITHMS, Collective, Session, prepare, run_allreduce
+from .baselines import ALGORITHMS, Collective, Session, prepare
 from .core import CollectiveResult, OmniReduce, OmniReduceConfig
 from .faults import (
     AggregatorCrash,
@@ -57,7 +57,6 @@ __all__ = [
     "Collective",
     "Session",
     "prepare",
-    "run_allreduce",
     "FaultPlan",
     "AggregatorCrash",
     "LinkDegradation",

@@ -21,16 +21,15 @@ column is the per-worker transmitted-block fraction at 256-element
 blocks), generated by the bench layer's seeded
 :func:`~repro.bench.harness.cached_tensors`.
 
-Feature modes: ``retransmit_backoff`` is only active when the cell's
-baseline enables it (lossy fault cells, mirroring the conformance
-runner's fault configuration), and ``flow_vectorized`` only exists in
-flow mode, which refuses fault plans -- those rows report a skip reason
-instead of a fake zero delta.
+Every run uses packet mode.  ``retransmit_backoff`` is only active when
+the cell's baseline enables it (lossy fault cells, mirroring the
+conformance runner's fault configuration); elsewhere its row reports a
+skip reason instead of a fake zero delta.
 
 Run ids are stable and deterministic:
-``{workload}-{fault}-baseline`` / ``{workload}-{fault}-no-{feature}``
-(flow-mode rows append ``-flow``), so exported traces, metrics JSONs
-and committed reports stay diffable across revisions.
+``{workload}-{fault}-baseline`` / ``{workload}-{fault}-no-{feature}``,
+so exported traces, metrics JSONs and committed reports stay diffable
+across revisions.
 """
 
 from __future__ import annotations
@@ -189,7 +188,6 @@ class AblationRun:
 
     run_id: str
     feature: str  # "" for the baseline run
-    sim_mode: str
     features: ProtocolFeatures
     metrics: Dict[str, Optional[float]] = field(default_factory=dict)
     oracle_problems: List[str] = field(default_factory=list)
@@ -207,7 +205,7 @@ class FeatureDelta:
     Deltas are fractional: ``time_delta = 0.25`` means disabling the
     feature made the collective 25% slower, so the mechanism earns a
     25% speedup in this cell.  ``None`` marks metrics the run could not
-    measure (flow mode has no retransmissions) or a skipped run.
+    measure or a skipped run.
     """
 
     feature: str
@@ -253,20 +251,15 @@ def _delta(feature: str, run: AblationRun, baseline: AblationRun) -> FeatureDelt
 
 @dataclass
 class CellReport:
-    """One cell's baseline(s) plus one delta row per catalog feature."""
+    """One cell's baseline plus one delta row per catalog feature."""
 
     cell: AblationCell
     baseline: AblationRun
-    flow_baseline: Optional[AblationRun]
     deltas: List[FeatureDelta]
 
     @property
     def runs(self) -> List[AblationRun]:
-        out = [self.baseline]
-        if self.flow_baseline is not None:
-            out.append(self.flow_baseline)
-        out.extend(d.run for d in self.deltas if d.run is not None)
-        return out
+        return [self.baseline] + [d.run for d in self.deltas if d.run is not None]
 
     @property
     def ok(self) -> bool:
@@ -355,21 +348,17 @@ def _run_single(
     cell: AblationCell,
     features: ProtocolFeatures,
     run_id: str,
-    sim_mode: str,
     feature: str,
     collective: Collective,
 ) -> AblationRun:
     tensors = cell.tensors()
     telemetry = Telemetry()
-    options = OmniReduceOptions(
-        config=cell.config(features), telemetry=telemetry, sim_mode=sim_mode
-    )
+    options = OmniReduceOptions(config=cell.config(features), telemetry=telemetry)
     with collective.prepare(cell.cluster(), options) as session:
         result = session.allreduce(tensors)
     run = AblationRun(
         run_id=run_id,
         feature=feature,
-        sim_mode=sim_mode,
         features=features,
         metrics=_read_metrics(telemetry, session.algorithm),
     )
@@ -387,15 +376,11 @@ def run_cell(cell: AblationCell, collective: Optional[Collective] = None) -> Cel
         collective = registry.get("omnireduce")
     baseline_features = cell.baseline_features()
     baseline = _run_single(
-        cell, baseline_features, f"{cell.cell_id}-baseline", "packet", "", collective
+        cell, baseline_features, f"{cell.cell_id}-baseline", "", collective
     )
 
-    #: Flow-mode rows compare against a flow-mode baseline: the two
-    #: modes agree bit-exactly on tensors and wire counters but not on
-    #: completion time, so cross-mode time deltas would be meaningless.
-    flow_baseline: Optional[AblationRun] = None
     deltas: List[FeatureDelta] = []
-    for name, spec in FEATURES.items():
+    for name in FEATURES:
         if not baseline_features.enabled(name):
             deltas.append(
                 FeatureDelta(
@@ -406,42 +391,15 @@ def run_cell(cell: AblationCell, collective: Optional[Collective] = None) -> Cel
                 )
             )
             continue
-        mode = "packet" if "packet" in spec.modes else "flow"
-        if mode == "flow" and (
-            cell.fault != "none" or cell.transport == "dpdk"
-        ):
-            deltas.append(
-                FeatureDelta(
-                    feature=name,
-                    run=None,
-                    baseline=baseline,
-                    skipped="flow mode refuses fault plans",
-                )
-            )
-            continue
-        if mode == "flow" and flow_baseline is None:
-            flow_baseline = _run_single(
-                cell,
-                baseline_features,
-                f"{cell.cell_id}-baseline-flow",
-                "flow",
-                "",
-                collective,
-            )
-        run_id = f"{cell.cell_id}-no-{name}" + ("-flow" if mode == "flow" else "")
         run = _run_single(
             cell,
             baseline_features.disable(name),
-            run_id,
-            mode,
+            f"{cell.cell_id}-no-{name}",
             name,
             collective,
         )
-        reference = flow_baseline if mode == "flow" else baseline
-        deltas.append(_delta(name, run, reference))
-    return CellReport(
-        cell=cell, baseline=baseline, flow_baseline=flow_baseline, deltas=deltas
-    )
+        deltas.append(_delta(name, run, baseline))
+    return CellReport(cell=cell, baseline=baseline, deltas=deltas)
 
 
 def run_ablation(

@@ -27,7 +27,7 @@ from .collectives import ring_allgather, tree_broadcast
 from .halving_doubling import HalvingDoublingAllReduce, halving_doubling_allreduce
 from .parallax import ParallaxAllReduce, ParallaxRuntime, parallax_allreduce
 from .ps import ParameterServerAllReduce, ps_allreduce
-from .registry import ALGORITHMS, get, prepare, run_allreduce
+from .registry import ALGORITHMS, get, prepare
 from .ring import RingAllReduce, ring_allreduce
 from .sparcml import SparCML, sparcml_allreduce
 from .switchml import SwitchMLAllReduce, switchml_allreduce
@@ -64,7 +64,6 @@ __all__ = [
     "SwitchMLAllReduce",
     "switchml_allreduce",
     "ALGORITHMS",
-    "run_allreduce",
     "ring_allgather",
     "tree_broadcast",
     "HalvingDoublingAllReduce",

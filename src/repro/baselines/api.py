@@ -15,15 +15,10 @@ uniform :class:`~repro.core.collective.CollectiveResult`.  Algorithms
 without a native AllGather/Broadcast fall back to the dense ring
 AllGather and binomial-tree Broadcast baselines, so every session
 supports all three collectives.
-
-The legacy ``run_allreduce(name, cluster, tensors, **opts)`` entry point
-lives on in :mod:`repro.baselines.registry` as a deprecation shim built
-on this API.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Type
 
@@ -113,8 +108,8 @@ class Options:
     either way.
 
     :meth:`from_kwargs` is *the* coercion entry point: everything that
-    accepts loosely-typed options (``prepare``, the legacy
-    ``run_allreduce`` shim, bench helpers) funnels through it.
+    accepts loosely-typed options (``prepare``, bench helpers) funnels
+    through it.
     """
 
     telemetry: Optional[object] = None
@@ -134,8 +129,8 @@ class Options:
         * ``from_kwargs(field=value, ...)`` -- typed construction, with
           unknown fields failing loudly.
 
-        Subclasses may extend it to accept (and deprecate) historical
-        spellings -- see :meth:`OmniReduceOptions.from_kwargs`.
+        Subclasses may extend it to accept more keyword spellings --
+        see :meth:`OmniReduceOptions.from_kwargs`.
         """
         if options is not None:
             if kwargs:
@@ -158,21 +153,8 @@ class OmniReduceOptions(Options):
 
     @classmethod
     def from_kwargs(cls, options=None, /, **kwargs) -> "OmniReduceOptions":
-        """:meth:`Options.from_kwargs` plus OmniReduce's historical
-        spellings: a bare :class:`OmniReduceConfig` (deprecated) and raw
-        config fields (``block_size=64``, ...) alongside ``config=``."""
-        if isinstance(options, OmniReduceConfig):
-            warnings.warn(
-                "passing a bare OmniReduceConfig is deprecated; use "
-                "OmniReduceOptions(config=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if kwargs:
-                raise TypeError(
-                    "pass either an options instance or keyword fields, not both"
-                )
-            return cls(config=options)
+        """:meth:`Options.from_kwargs` plus raw config fields
+        (``block_size=64``, ...) as an alternative to ``config=``."""
         if options is not None:
             return super().from_kwargs(options, **kwargs)
         telemetry = kwargs.pop("telemetry", None)
@@ -595,16 +577,6 @@ class Collective:
     def default_options(self) -> Options:
         return self.options_cls()
 
-    def options_from_kwargs(self, **kwargs) -> Options:
-        """Deprecated: use ``self.options_cls.from_kwargs(**kwargs)``."""
-        warnings.warn(
-            "Collective.options_from_kwargs() is deprecated; use "
-            f"{self.options_cls.__name__}.from_kwargs() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.options_cls.from_kwargs(**kwargs)
-
     def _coerce(self, options: Optional[Options]) -> Options:
         if options is None:
             return self.default_options()
@@ -635,14 +607,7 @@ class _FactoryCollective(Collective):
 
 
 class OmniReduceCollective(Collective):
-    """OmniReduce behind the unified protocol.
-
-    Historical spellings (a bare :class:`OmniReduceConfig` passed to
-    ``prepare``, raw config field keywords) are accepted -- with
-    deprecation warnings where applicable -- by
-    :meth:`OmniReduceOptions.from_kwargs`, which ``_coerce`` funnels
-    everything through.
-    """
+    """OmniReduce behind the unified protocol."""
 
     name = "omnireduce"
     options_cls = OmniReduceOptions
@@ -663,7 +628,7 @@ class OmniReduceCollective(Collective):
             opts,
             engine,
             algorithm=self.name,
-            features=engine.config.resolved_features(),
+            features=engine.config.features,
         )
 
 

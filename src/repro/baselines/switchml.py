@@ -5,9 +5,10 @@ slot pipeline but has no notion of sparsity: every block is transmitted.
 The paper evaluates a server-based variant (SwitchML*) to isolate the
 contribution of streaming aggregation from that of zero-block skipping.
 
-Here SwitchML* is precisely OmniReduce with ``skip_zero_blocks=False``
--- the same protocol engine streaming the dense tensor -- which makes
-the ablation exact by construction.
+Here SwitchML* is precisely OmniReduce with the
+``zero_block_suppression`` feature off -- the same protocol engine
+streaming the dense tensor -- which makes the ablation exact by
+construction.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ class SwitchMLAllReduce:
         )
         self._omni = engine_cls(
             cluster,
-            base.with_(skip_zero_blocks=False, charge_bitmap=False),
+            base.with_(
+                features=base.features.with_(zero_block_suppression=False),
+                charge_bitmap=False,
+            ),
         )
         # The shared engine records runs under this baseline's name.
         self._omni.telemetry_label = "switchml"

@@ -320,7 +320,7 @@ class OmniReduce:
         with telemetry.collective(
             self.telemetry_label,
             self.cluster,
-            features=self.config.resolved_features(),
+            features=self.config.features,
         ) as op:
             result = self._run_impl(
                 tensors, worker_start_delays, gradient_readiness
@@ -347,7 +347,7 @@ class OmniReduce:
     ) -> PendingCollective:
         spec = self.cluster.spec
         config = self.config
-        features = config.resolved_features()
+        features = config.features
         sim = self.cluster.sim
         transport = self.cluster.transport
         op_id = next(_operation_ids)

@@ -5,16 +5,15 @@ Defaults follow the paper: 256-element blocks (§6.4), Block Fusion on
 streams), and loss recovery enabled automatically on lossy transports.
 
 Protocol *mechanisms* (fusion, retransmit backoff, lookahead, zero-block
-suppression, slot parallelism, chunk prefetch, flow vectorization) live
-in :class:`~repro.core.features.ProtocolFeatures`; the config carries
-one under ``features``.  The legacy ``fusion`` / ``backoff_factor``
-knobs remain as DeprecationWarning shims that fold into ``features``.
+suppression, slot parallelism, chunk prefetch) live in
+:class:`~repro.core.features.ProtocolFeatures`; the config carries one
+under ``features``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass, fields
+import dataclasses
+from dataclasses import dataclass
 from typing import Optional
 
 from .features import DEFAULT_FEATURES, ProtocolFeatures
@@ -23,16 +22,6 @@ __all__ = ["OmniReduceConfig"]
 
 #: Slot id is a 12-bit field in the RDMA immediate (§5).
 MAX_STREAMS = 1 << 12
-
-#: Pinned deprecation texts (tests assert these exact messages).
-FUSION_DEPRECATION = (
-    "OmniReduceConfig's fusion knob is deprecated; use "
-    "OmniReduceConfig(features=ProtocolFeatures(fusion=...)) instead"
-)
-BACKOFF_DEPRECATION = (
-    "OmniReduceConfig's backoff_factor knob is deprecated; use "
-    "OmniReduceConfig(features=ProtocolFeatures(backoff_factor=...)) instead"
-)
 
 
 @dataclass(frozen=True)
@@ -55,13 +44,6 @@ class OmniReduceConfig:
         Target payload bytes per packet/message.  ``None`` derives it
         from the transport: the MTU payload for datagrams, 16 KiB for
         RDMA messages (slots work at message granularity, §5).
-    skip_zero_blocks:
-        The point of OmniReduce.  Disabling it yields SwitchML*-style
-        pure streaming aggregation (every block transmitted), used for
-        the ablation in §6.2.2.  Kept as a first-class knob for
-        backwards compatibility; it is ANDed with the
-        ``zero_block_suppression`` feature (see
-        :meth:`resolved_features`).
     recovery:
         Force Algorithm 2 (timers + acks + versioned slots) on or off.
         ``None`` selects it automatically for lossy transports.
@@ -95,20 +77,15 @@ class OmniReduceConfig:
         The :class:`~repro.core.features.ProtocolFeatures` set the
         engines consult for every ablatable mechanism (Block Fusion
         §3.2, retransmit backoff, lookahead, zero-block suppression,
-        slot parallelism, chunk prefetch, flow vectorization).
-    fusion:
-        Deprecated constructor knob; folds into ``features.fusion``.
-    backoff_factor:
-        Deprecated constructor knob; folds into
-        ``features.backoff_factor``.  A valid response resets a
-        worker's timer to ``timeout_s``; 1.0 reproduces the paper's
-        fixed timer exactly.
+        slot parallelism, chunk prefetch).  Turning
+        ``zero_block_suppression`` off yields SwitchML*-style pure
+        streaming aggregation (every block transmitted), the ablation
+        of §6.2.2.
     """
 
     block_size: int = 256
     streams_per_shard: int = 32
     message_bytes: Optional[int] = None
-    skip_zero_blocks: bool = True
     recovery: Optional[bool] = None
     timeout_s: float = 1e-3
     timeout_max_s: Optional[float] = None
@@ -117,27 +94,8 @@ class OmniReduceConfig:
     reduction: str = "sum"
     deterministic: bool = False
     features: ProtocolFeatures = DEFAULT_FEATURES
-    #: Legacy knobs -- accepted, deprecated, folded into ``features``.
-    fusion: InitVar[Optional[bool]] = None
-    backoff_factor: InitVar[Optional[float]] = None
 
-    def __post_init__(
-        self,
-        fusion: Optional[bool],
-        backoff_factor: Optional[float],
-    ) -> None:
-        if fusion is not None:
-            warnings.warn(FUSION_DEPRECATION, DeprecationWarning, stacklevel=3)
-            object.__setattr__(
-                self, "features", self.features.with_(fusion=bool(fusion))
-            )
-        if backoff_factor is not None:
-            warnings.warn(BACKOFF_DEPRECATION, DeprecationWarning, stacklevel=3)
-            object.__setattr__(
-                self,
-                "features",
-                self.features.with_(backoff_factor=float(backoff_factor)),
-            )
+    def __post_init__(self) -> None:
         if not isinstance(self.features, ProtocolFeatures):
             raise TypeError("features must be a ProtocolFeatures")
         if self.block_size < 1:
@@ -159,58 +117,11 @@ class OmniReduceConfig:
             raise ValueError(f"unsupported reduction {self.reduction!r}")
 
     def with_(self, **changes) -> "OmniReduceConfig":
-        """Return a copy with the given fields replaced.
-
-        Accepts the deprecated ``fusion`` / ``backoff_factor`` knobs as
-        well (with the same DeprecationWarning as the constructor).
-        Built by hand rather than :func:`dataclasses.replace`: replace()
-        would read the InitVar pseudo-fields through the deprecation
-        properties and re-fold the *old* legacy values over a freshly
-        supplied ``features``.
-        """
-        current = {
-            f.name: getattr(self, f.name) for f in fields(self) if f.init
-        }
-        unknown = set(changes) - set(current) - {"fusion", "backoff_factor"}
-        if unknown:
-            raise TypeError(
-                f"unknown config fields: {sorted(unknown)}"
-            )
-        current.update(changes)
-        return OmniReduceConfig(**current)
-
-    # -- feature resolution -------------------------------------------------
-
-    def resolved_features(self) -> ProtocolFeatures:
-        """``features`` with the legacy ``skip_zero_blocks`` knob folded in.
-
-        Zero-block suppression is active only when *both* the feature
-        and the config flag are on; the engines consult this single
-        resolved view.
-        """
-        feats = self.features
-        if not self.skip_zero_blocks and feats.zero_block_suppression:
-            feats = feats.with_(zero_block_suppression=False)
-        return feats
+        """A copy with the given fields replaced (validated like the ctor)."""
+        return dataclasses.replace(self, **changes)
 
     @property
     def effective_streams_per_shard(self) -> int:
         """Pipeline depth after the ``slot_parallelism`` feature gate."""
         return self.streams_per_shard if self.features.slot_parallelism else 1
 
-
-def _deprecated_fusion(self: OmniReduceConfig) -> bool:
-    warnings.warn(FUSION_DEPRECATION, DeprecationWarning, stacklevel=2)
-    return self.features.fusion
-
-
-def _deprecated_backoff(self: OmniReduceConfig) -> float:
-    warnings.warn(BACKOFF_DEPRECATION, DeprecationWarning, stacklevel=2)
-    return self.features.backoff_factor
-
-
-# Reading ``config.fusion`` / ``config.backoff_factor`` keeps working
-# (they mirror ``features``) but warns: the InitVar pseudo-fields leave
-# plain class attributes behind, which these shim properties replace.
-OmniReduceConfig.fusion = property(_deprecated_fusion)
-OmniReduceConfig.backoff_factor = property(_deprecated_backoff)

@@ -2,8 +2,8 @@
 
 OmniReduce's performance story is a *stack* of mechanisms: look-ahead
 next-block computation, zero-block suppression, fine-grained slot
-parallelism, block fusion, exponential retransmit backoff, chunk
-prefetch, and (in flow mode) vectorized chain booking.  Historically
+parallelism, block fusion, exponential retransmit backoff and chunk
+prefetch.  Historically
 those mechanisms were hard-wired across the packet worker/aggregator,
 :class:`~repro.core.flowreduce.FlowOmniReduce`, and the
 rack-hierarchical engines, with only ``fusion`` and ``backoff_factor``
@@ -44,8 +44,6 @@ class FeatureSpec:
     #: field equals this; booleans use ``False``, ``backoff_factor``
     #: uses ``1.0``).
     off_value: object
-    #: Sim modes in which disabling the feature is observable.
-    modes: Tuple[str, ...] = ("packet", "flow")
 
 
 #: The feature catalog, in protocol order.  ``repro.ablation`` iterates
@@ -85,22 +83,12 @@ FEATURES: Dict[str, FeatureSpec] = {
             "exponential growth of the retransmission timeout "
             "(backoff_factor > 1); off = constant timeout",
             off_value=False,
-            modes=("packet",),
         ),
         FeatureSpec(
             "chunk_prefetch",
             "overlap host-to-NIC staging with transmission in 4 MiB "
             "chunks; off = wait for the whole tensor before sending",
             off_value=False,
-        ),
-        FeatureSpec(
-            "flow_vectorized",
-            "flow-mode vectorized chain booking (batched round-0 "
-            "serialization and core-chain traversal); off = scalar "
-            "per-worker/per-segment booking, bit-identical by "
-            "construction",
-            off_value=False,
-            modes=("flow",),
         ),
     )
 }
@@ -118,9 +106,8 @@ class ProtocolFeatures:
     #: Workers answer ``next``-block queries with the next *nonzero*
     #: block of the lane; off = the next lane position regardless.
     lookahead: bool = True
-    #: Skip all-zero blocks on the wire (bitmap-guided).  The engine
-    #: additionally honours ``OmniReduceConfig.skip_zero_blocks``; see
-    #: :meth:`repro.core.config.OmniReduceConfig.resolved_features`.
+    #: Skip all-zero blocks on the wire (bitmap-guided); off = the
+    #: SwitchML*-style dense stream of §6.2.2.
     zero_block_suppression: bool = True
     #: Use the configured ``streams_per_shard`` pipeline depth; off =
     #: a single stream per shard.
@@ -132,13 +119,11 @@ class ProtocolFeatures:
     backoff_factor: float = 1.0
     #: Chunked host-to-NIC prefetch overlap (non-GDR transports).
     chunk_prefetch: bool = True
-    #: Flow-mode vectorized chain booking.
-    flow_vectorized: bool = True
 
     def __post_init__(self) -> None:
         for name in (
             "lookahead", "zero_block_suppression", "slot_parallelism",
-            "fusion", "chunk_prefetch", "flow_vectorized",
+            "fusion", "chunk_prefetch",
         ):
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be a bool")

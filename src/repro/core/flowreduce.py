@@ -100,7 +100,7 @@ class FlowOmniReduce(OmniReduce):
         cluster = getattr(self.cluster, "flow_base", self.cluster)
         spec = cluster.spec
         config = self.config
-        features = config.resolved_features()
+        features = config.features
         lookahead = features.lookahead
         sim = cluster.sim
         transport = getattr(cluster.transport, "inner", cluster.transport)
@@ -402,22 +402,16 @@ class FlowOmniReduce(OmniReduce):
         # The reduced tensor: zeros except aggregated blocks.  Blocks no
         # worker lists are all-zero at every worker, and metadata-only
         # first-row results are never written, so all outputs converge to
-        # this single array (written back in finalize).
-        result = np.zeros(total, dtype=np.float32)
+        # this single array (sliced to ``total`` and written back in
+        # finalize).  It is padded like ``flat`` so a round may fold the
+        # tail block from any lane row.
+        result = np.zeros(padded, dtype=np.float32)
         deterministic = config.deterministic
         reduction = config.reduction
 
         wait_from = np.zeros((num_streams, num_workers))
         stall = np.zeros((num_streams, num_workers))
         finish_time = start
-
-        def lane_indices(blocks: np.ndarray):
-            """(rows, block_size) element indices into the padded buffer
-            plus a tail mask (padding positions past ``total``)."""
-            idx = blocks[:, None] * block_size + np.arange(block_size)[None, :]
-            if idx.size and idx[-1, -1] >= total:
-                return idx, idx >= total
-            return idx, None
 
         by_block = flat.reshape(num_workers, total_blocks, block_size)
 
@@ -443,9 +437,7 @@ class FlowOmniReduce(OmniReduce):
                     else:
                         acc_g[old] = np.minimum(acc_g[old], prev)
                 seen_g[rows] = True
-            res_pad = np.zeros(padded, dtype=np.float32)
-            res_pad.reshape(total_blocks, block_size)[seen_g] = acc_g[seen_g]
-            result[:] = res_pad[:total]
+            result.reshape(total_blocks, block_size)[seen_g] = acc_g[seen_g]
 
         if deterministic:
             # In deterministic mode the slot re-folds every round in
@@ -475,7 +467,7 @@ class FlowOmniReduce(OmniReduce):
                     acc_full.reshape(total_blocks, block_size)[
                         ~seen_blocks
                     ] = 0.0
-                    result[:] = acc_full[:total]
+                    result[:] = acc_full
             else:
                 fold_deterministic_exact()
 
@@ -495,7 +487,8 @@ class FlowOmniReduce(OmniReduce):
             independent, so per-lane sequencing is preserved exactly)."""
             if order is None:
                 return int(contrib.any(axis=0).sum())
-            idx, tail = lane_indices(blocks)
+            # (rows, block_size) element indices into the padded buffers.
+            idx = blocks[:, None] * block_size + np.arange(block_size)[None, :]
             rows_total = len(blocks)
             w_idx, l_idx = np.nonzero(contrib)
             if not len(w_idx):
@@ -523,11 +516,7 @@ class FlowOmniReduce(OmniReduce):
                 else:
                     acc[rows] = np.minimum(acc[rows], vals)
             seen = counts > 0
-            if tail is not None:
-                keep = ~tail[seen]
-                result[idx[seen][keep]] = acc[seen][keep]
-            else:
-                result[idx[seen]] = acc[seen]
+            result[idx[seen]] = acc[seen]
             return int(seen.sum())
 
         # -- round 0: every (stream, worker) sends its first-row packet ---
@@ -574,43 +563,24 @@ class FlowOmniReduce(OmniReduce):
         recv_pkts_w = recv_pkts[:num_workers]
 
         # Each worker books its round-0 sends through its tx CPU and
-        # egress NIC in (send time, stream) order: cpu_chain followed by
-        # serialize_chain, batched across all workers at once.  With the
-        # ``flow_vectorized`` feature ablated, the same bookings run as
-        # a scalar per-worker loop over the chain helpers -- the 2D
-        # accumulate operates row-wise, so both paths are bit-identical.
-        if features.flow_vectorized:
-            ordw = np.argsort(t0.T, axis=1, kind="stable")  # (workers, streams)
-            ready = np.take_along_axis(t0.T, ordw, axis=1)
-            steps = np.arange(num_streams, dtype=np.float64)
-            txc = tx_cost_w[:, None]
-            base = np.maximum.accumulate(
-                np.maximum(ready, tx_free_w[:, None]) - steps * txc, axis=1
-            )
-            tx_ready = base + (steps + 1.0) * txc
-            dur = np.take_along_axis(wire0.T, ordw, axis=1) * inv_bw_w[:, None]
-            cum = np.cumsum(dur, axis=1)
-            base = np.maximum.accumulate(
-                np.maximum(tx_ready, eg_free_w[:, None]) - (cum - dur), axis=1
-            )
-            done = base + cum
-            tx_free_w[:] = tx_ready[:, -1]
-            eg_free_w[:] = done[:, -1]
-            arrivals0 = np.empty((num_workers, num_streams))
-            np.put_along_axis(arrivals0, ordw, done + latency, axis=1)
-            arrivals0 = arrivals0.T
-        else:
-            arrivals0 = np.empty((num_streams, num_workers))
-            for w in range(num_workers):
-                order_w = np.argsort(t0[:, w], kind="stable")
-                tx_ready = cpu_chain(t0[order_w, w], tx_cost_w[w], tx_free_w[w])
-                done = serialize_chain(
-                    tx_ready, wire0[order_w, w] * inv_bw_w[w], eg_free_w[w]
-                )
-                if len(done):
-                    tx_free_w[w] = tx_ready[-1]
-                    eg_free_w[w] = done[-1]
-                arrivals0[order_w, w] = done + latency
+        # egress NIC in (send time, stream) order: one chain row per
+        # worker, all workers at once.
+        ordw = np.argsort(t0.T, axis=1, kind="stable")  # (workers, streams)
+        tx_ready = cpu_chain(
+            np.take_along_axis(t0.T, ordw, axis=1),
+            tx_cost_w[:, None],
+            tx_free_w[:, None],
+        )
+        done = serialize_chain(
+            tx_ready,
+            np.take_along_axis(wire0.T, ordw, axis=1) * inv_bw_w[:, None],
+            eg_free_w[:, None],
+        )
+        tx_free_w[:] = tx_ready[:, -1]
+        eg_free_w[:] = done[:, -1]
+        arrivals0 = np.empty((num_workers, num_streams))
+        np.put_along_axis(arrivals0, ordw, done + latency, axis=1)
+        arrivals0 = arrivals0.T
         sent_w0 = wire0.sum(axis=0)
         sent_bytes_w += sent_w0
         sent_pkts_w += num_streams
@@ -780,7 +750,7 @@ class FlowOmniReduce(OmniReduce):
 
         def finalize() -> CollectiveResult:
             for out in outputs:
-                out[:] = result
+                out[:] = result[:total]
             finish = sim.now
             if not gdr and num_workers:
                 finish = max(finish, float(down_free.max()))

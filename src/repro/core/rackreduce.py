@@ -238,15 +238,6 @@ def _plan(
     return plan
 
 
-def _segment_payloads(nbytes: int, segment_bytes: int) -> List[int]:
-    """SegmentedChannel's exact framing: payload bytes per segment."""
-    nbytes = max(1, nbytes)
-    nseg = -(-nbytes // segment_bytes)
-    return [
-        min(segment_bytes, nbytes - seg * segment_bytes) for seg in range(nseg)
-    ]
-
-
 class RackHierarchicalOmniReduce:
     """Rack-hierarchical sparse AllReduce: the exact packet engine.
 
@@ -468,8 +459,9 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
 
     Every NIC-stage booking of the packet engine is reproduced with the
     chain helpers in the packet kernel's processing order; shared
-    topology pipes are booked through the *same* ``traverse_core`` calls
-    in global send-call order (ties broken the way the event queue
+    topology pipes are booked through ``traverse_core_chain`` (the
+    order-exact vectorization of ``traverse_core``) in global send-call
+    order (ties broken the way the event queue
     breaks them: insertion order, i.e. rack / aggregator index).  Wire
     counters and tensors come from the shared plan, so only completion
     times carry the engine tolerance.
@@ -577,27 +569,6 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
         # the cached arrays as read-only.
         wire_full = float(wire(seg_cap))
         _wire_cache: dict = {}
-        flow_vectorized = self.features.flow_vectorized
-
-        def core_chain(
-            times: np.ndarray, src: str, dst: str, sizes: np.ndarray
-        ) -> np.ndarray:
-            """Book one message's segments across the shared core pipes.
-
-            The vectorized path collapses the per-pipe recurrence with
-            prefix maxima; with the feature ablated each segment books
-            the scalar :meth:`traverse_core` in turn -- the identical
-            recurrence (the uplink booking never depends on downlink
-            state), evaluated scalar-by-scalar like the packet kernel.
-            """
-            if flow_vectorized:
-                return topology.traverse_core_chain(times, src, dst, sizes)
-            out = np.empty(times.size, dtype=np.float64)
-            for i in range(times.size):
-                out[i] = topology.traverse_core(
-                    float(times[i]), src, dst, int(sizes[i])
-                )
-            return out
 
         def wire_sizes(nbytes: int) -> np.ndarray:
             sz = _wire_cache.get(nbytes)
@@ -648,7 +619,9 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
                 sz = per_msg[j]
                 core = done[k : k + sz.size]
                 if topology is not None:
-                    core = core_chain(core, whosts[leader], ahosts[j], sz)
+                    core = topology.traverse_core_chain(
+                        core, whosts[leader], ahosts[j], sz
+                    )
                 agg_arr[j].append(core + latency)
                 agg_sz[j].append(sz)
                 k += sz.size
@@ -674,7 +647,9 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
             for r in range(nracks):
                 core = done[r * sz1.size : (r + 1) * sz1.size]
                 if topology is not None:
-                    core = core_chain(core, ahosts[j], whosts[leaders[r]], sz1)
+                    core = topology.traverse_core_chain(
+                        core, ahosts[j], whosts[leaders[r]], sz1
+                    )
                 lead_arr[r].append(core + latency)
                 lead_sz[r].append(sz1)
 

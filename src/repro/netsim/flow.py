@@ -48,7 +48,7 @@ guarantees.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -100,8 +100,12 @@ def require_flow_capable(network: Network, transport: Transport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cpu_chain(times: np.ndarray, cost: float, free0: float) -> np.ndarray:
-    """Book ``len(times)`` jobs through a per-packet CPU stage.
+def cpu_chain(
+    times: np.ndarray,
+    cost: Union[float, np.ndarray],
+    free0: Union[float, np.ndarray],
+) -> np.ndarray:
+    """Book jobs through a per-packet CPU stage, along the last axis.
 
     Returns the completion times ``f`` of the recurrence
 
@@ -111,19 +115,20 @@ def cpu_chain(times: np.ndarray, cost: float, free0: float) -> np.ndarray:
     :meth:`~repro.netsim.network.Network.transmit`: each job waits for
     the stage to free up, then occupies it for ``cost`` seconds.
     ``times`` must be the bookings in arrival order (the order the
-    packet kernel would process them).
+    packet kernel would process them).  A 2-D ``times`` books each row
+    as an independent stage; ``cost`` and ``free0`` then broadcast per
+    row (shape ``(rows, 1)``), and every row equals the 1-D call on it.
     """
     times = np.asarray(times, dtype=np.float64)
-    n = times.size
-    if n == 0:
+    if times.size == 0:
         return times
-    idx = np.arange(n, dtype=np.float64)
-    base = np.maximum.accumulate(np.maximum(times, free0) - idx * cost)
+    idx = np.arange(times.shape[-1], dtype=np.float64)
+    base = np.maximum.accumulate(np.maximum(times, free0) - idx * cost, axis=-1)
     return base + (idx + 1.0) * cost
 
 
 def serialize_chain(
-    ready: np.ndarray, durations: np.ndarray, free0: float
+    ready: np.ndarray, durations: np.ndarray, free0: Union[float, np.ndarray]
 ) -> np.ndarray:
     """Book jobs through a store-and-forward serialization stage.
 
@@ -133,7 +138,9 @@ def serialize_chain(
 
     -- the egress/ingress NIC stage: a message ready at ``ready[i]``
     starts serializing once the link frees up and occupies it for
-    ``durations[i]`` seconds.  ``ready`` must be in booking order.
+    ``durations[i]`` seconds.  ``ready`` must be in booking order.  Like
+    :func:`cpu_chain`, 2-D input books each row independently along the
+    last axis, with ``free0`` broadcast per row.
 
     Properties (the Hypothesis suite in ``tests/netsim`` checks these):
 
@@ -147,12 +154,11 @@ def serialize_chain(
     """
     ready = np.asarray(ready, dtype=np.float64)
     durations = np.asarray(durations, dtype=np.float64)
-    n = ready.size
-    if n == 0:
+    if ready.size == 0:
         return ready
-    cum = np.cumsum(durations)
+    cum = np.cumsum(durations, axis=-1)
     prev = cum - durations
-    base = np.maximum.accumulate(np.maximum(ready, free0) - prev)
+    base = np.maximum.accumulate(np.maximum(ready, free0) - prev, axis=-1)
     return base + cum
 
 

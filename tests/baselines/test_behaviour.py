@@ -10,7 +10,7 @@ from repro.baselines import (
     ParameterServerAllReduce,
     RingAllReduce,
     SparCML,
-    run_allreduce,
+    prepare,
 )
 from repro.netsim import Cluster, ClusterSpec
 from repro.tensors import block_sparse_tensors
@@ -161,8 +161,8 @@ def test_parallax_never_slower_than_ring():
 
 
 def test_switchml_insensitive_to_sparsity():
-    dense = run_allreduce("switchml", cluster(), inputs(sparsity=0.0))
-    sparse = run_allreduce("switchml", cluster(), inputs(sparsity=0.95))
+    dense = prepare("switchml", cluster()).allreduce(inputs(sparsity=0.0))
+    sparse = prepare("switchml", cluster()).allreduce(inputs(sparsity=0.95))
     assert sparse.bytes_sent == pytest.approx(dense.bytes_sent, rel=0.02)
 
 
@@ -171,5 +171,5 @@ def test_omnireduce_beats_every_sparse_baseline_at_90_percent():
     tensors = inputs(sparsity=0.9, blocks=2048, block_size=256)
     times = {}
     for name in ("omnireduce", "agsparse", "sparcml-dsar", "ps-sparse"):
-        times[name] = run_allreduce(name, cluster(), tensors).time_s
+        times[name] = prepare(name, cluster()).allreduce(tensors).time_s
     assert times["omnireduce"] == min(times.values())

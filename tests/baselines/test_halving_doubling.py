@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import HalvingDoublingAllReduce, RingAllReduce, run_allreduce
+from repro.baselines import HalvingDoublingAllReduce, RingAllReduce, prepare
 from repro.core import OmniReduce, OmniReduceConfig
 from repro.netsim import Cluster, ClusterSpec
 
@@ -49,7 +49,7 @@ def test_registered_in_registry():
     cluster = make_cluster()
     rng = np.random.default_rng(1)
     tensors = [rng.standard_normal(128).astype(np.float32) for _ in range(4)]
-    result = run_allreduce("halving-doubling", cluster, tensors)
+    result = prepare("halving-doubling", cluster).allreduce(tensors)
     np.testing.assert_allclose(
         result.output, np.sum(np.stack(tensors), axis=0), rtol=1e-4, atol=1e-4
     )

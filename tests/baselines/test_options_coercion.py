@@ -1,13 +1,9 @@
-"""The single options-coercion entry point and its deprecation shims.
+"""The single options-coercion entry point.
 
 ``Options.from_kwargs`` is the one documented way to coerce loose input
-into typed options; the legacy spellings (``options_from_kwargs`` on a
-collective, a bare ``OmniReduceConfig``) still work but warn.  The
-warning texts are pinned: they are part of the migration contract in
-docs/api.md.
+into typed options; ``prepare`` funnels everything through it, so a
+bare ``OmniReduceConfig`` (not an options instance) is a ``TypeError``.
 """
-
-import warnings
 
 import pytest
 
@@ -69,37 +65,16 @@ class TestOmniReduceSpellings:
                 config=OmniReduceConfig(), block_size=64
             )
 
-    def test_bare_config_warns_with_pinned_text(self):
-        config = OmniReduceConfig(block_size=128)
-        with pytest.warns(DeprecationWarning, match="bare OmniReduceConfig is deprecated"):
-            opts = OmniReduceOptions.from_kwargs(config)
-        assert opts.config is config
 
-    def test_prepare_accepts_bare_config_with_warning(self):
-        config = OmniReduceConfig(block_size=128)
-        with pytest.warns(DeprecationWarning, match="bare OmniReduceConfig is deprecated"):
-            session = get("omnireduce").prepare(_cluster(), config)
-        assert session.engine.config.block_size == 128
-
-
-class TestLegacyCollectiveShim:
-    def test_options_from_kwargs_warns_with_pinned_text(self):
-        with pytest.warns(
-            DeprecationWarning, match=r"options_from_kwargs\(\) is deprecated"
-        ):
-            opts = get("ring").options_from_kwargs(segment_elements=1024)
-        assert isinstance(opts, RingOptions)
-        assert opts.segment_elements == 1024
-
-    def test_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            get("ps").options_from_kwargs(sparse=True)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
+class TestPrepareCoercion:
     def test_prepare_coerce_rejects_wrong_options_class(self):
         with pytest.raises(TypeError, match="'ring'"):
             get("ring").prepare(_cluster(), PSOptions())
+
+    def test_prepare_rejects_bare_config(self):
+        with pytest.raises(
+            TypeError,
+            match="'omnireduce': expected OmniReduceOptions options, "
+            "got OmniReduceConfig",
+        ):
+            get("omnireduce").prepare(_cluster(), OmniReduceConfig(block_size=128))

@@ -151,12 +151,14 @@ def test_allreduce_min_reduction():
 
 
 def test_switchml_mode_streams_everything():
-    """skip_zero_blocks=False (SwitchML*) must still be correct but move
-    every block regardless of sparsity."""
+    """Zero-block suppression off (SwitchML*) must still be correct but
+    move every block regardless of sparsity."""
     cluster = small_cluster()
     tensors = make_inputs(sparsity=0.9)
     dense_result = check_allreduce(
-        cluster, small_config(skip_zero_blocks=False), tensors
+        cluster,
+        small_config(features=ProtocolFeatures(zero_block_suppression=False)),
+        tensors,
     )
     cluster2 = small_cluster()
     sparse_result = check_allreduce(cluster2, small_config(), tensors)

@@ -73,6 +73,15 @@ def test_flow_engine_matches_on_non_divisible_tail():
     tensors = _tensors(elements=2048 - 17)
     packet, flow = _run_pair(tensors=tensors)
     _assert_equivalent(packet, flow)
+    # With look-ahead skipping the zero block 3, the tail block 6 is
+    # folded from the first lane's row, not the last one.
+    tensor = np.ones(6 * 64 + 10, dtype=np.float32)
+    tensor[3 * 64 : 4 * 64] = 0.0
+    config = OmniReduceConfig(block_size=64, message_bytes=1024, streams_per_shard=1)
+    packet, flow = _run_pair(
+        config=config, workers=2, aggregators=1, tensors=[tensor, tensor]
+    )
+    _assert_equivalent(packet, flow)
 
 
 def test_flow_engine_matches_on_all_zero_input():

@@ -1,5 +1,5 @@
-"""The unified Collective API: prepare/Session protocol, typed options,
-uniform CollectiveResult, and the run_allreduce deprecation shim."""
+"""The unified Collective API: prepare/Session protocol, typed options
+and the uniform CollectiveResult."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.baselines import (
     get,
     prepare,
 )
-from repro.baselines.registry import run_allreduce
 from repro.core.config import OmniReduceConfig
 from repro.netsim.cluster import Cluster, ClusterSpec
 from repro.tensors import block_sparse_tensors
@@ -81,21 +80,11 @@ class TestTypedOptions:
         with pytest.raises(TypeError):
             prepare("ring", _cluster(), OmniReduceOptions())
 
-    def test_omnireduce_accepts_bare_config(self):
+    def test_omnireduce_accepts_config_options(self):
         config = OmniReduceConfig(block_size=128)
-        session = prepare("omnireduce", _cluster(), config)
+        session = prepare("omnireduce", _cluster(), OmniReduceOptions(config=config))
         result = session.allreduce(_tensors())
         assert result.details["recovery"] == 0.0
-
-    def test_options_from_kwargs(self):
-        collective = get("ring")
-        options = collective.options_from_kwargs(segment_elements=1024)
-        assert isinstance(options, RingOptions)
-        assert options.segment_elements == 1024
-
-    def test_options_from_kwargs_rejects_unknown(self):
-        with pytest.raises(TypeError):
-            get("ring").options_from_kwargs(bogus=1)
 
     def test_default_options(self):
         options = get("ring").default_options()
@@ -125,28 +114,3 @@ class TestSessionCollectives:
         broadcast = session.broadcast(tensors[0])
         np.testing.assert_allclose(broadcast.output, tensors[0], rtol=1e-5)
 
-
-class TestDeprecationShim:
-    def test_run_allreduce_warns(self):
-        with pytest.warns(DeprecationWarning, match="prepare"):
-            run_allreduce("ring", _cluster(), _tensors())
-
-    @pytest.mark.parametrize("name", ["omnireduce", "ring", "sparcml"])
-    def test_shim_matches_protocol_exactly(self, name):
-        tensors = _tensors()
-        via_protocol = prepare(name, _cluster()).allreduce(tensors)
-        with pytest.warns(DeprecationWarning):
-            via_shim = run_allreduce(name, _cluster(), tensors)
-        assert np.array_equal(via_shim.output, via_protocol.output)
-        assert via_shim.time_s == via_protocol.time_s
-        assert via_shim.bytes_sent == via_protocol.bytes_sent
-
-    def test_shim_forwards_options_kwargs(self):
-        tensors = _tensors()
-        with pytest.warns(DeprecationWarning):
-            result = run_allreduce(
-                "omnireduce", _cluster(), tensors, block_size=128
-            )
-        np.testing.assert_allclose(
-            result.output, np.sum(tensors, axis=0), rtol=1e-4
-        )

@@ -11,6 +11,8 @@ properties of the store-and-forward model.  Hypothesis pins all of it:
   ``i*cost`` / the duration prefix sum, so individual completions may
   differ by an ulp -- the engine-level ``TIME_RTOL`` exists for
   exactly this);
+* a 2-D call books each row exactly like the 1-D call on that row
+  (the flow engines batch one chain per host this way);
 * completion times are monotonically non-increasing in bandwidth;
 * the last completion time is invariant under permutation of jobs with
   equal ready times (link sharing does not care about arrival order
@@ -83,6 +85,29 @@ def test_property_serialize_chain_matches_sequential_recurrence(
     got = serialize_chain(np.array(times), durations, free0)
     expected = np.array(_sequential_serialize(times, durations, free0))
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-18)
+
+
+@given(
+    rows=st.integers(min_value=1, max_value=6),
+    cols=st.integers(min_value=1, max_value=20),
+    seed=st.integers(min_value=0, max_value=999),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_2d_chains_equal_per_row_1d_calls(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, 1e-3, size=(rows, cols)), axis=1)
+    cost = rng.uniform(0.0, 1e-6, size=rows)
+    cpu_free = rng.uniform(0.0, 1e-3, size=rows)
+    durations = rng.uniform(0.0, 1e-5, size=(rows, cols))
+    link_free = rng.uniform(0.0, 1e-3, size=rows)
+    ready = cpu_chain(times, cost[:, None], cpu_free[:, None])
+    done = serialize_chain(ready, durations, link_free[:, None])
+    for r in range(rows):
+        ready_r = cpu_chain(times[r], cost[r], cpu_free[r])
+        assert np.array_equal(ready[r], ready_r)
+        assert np.array_equal(
+            done[r], serialize_chain(ready_r, durations[r], link_free[r])
+        )
 
 
 @given(

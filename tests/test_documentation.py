@@ -60,6 +60,36 @@ def test_docs_reference_real_modules():
             )
 
 
+def test_cited_benchmark_artifacts_are_tracked():
+    """Every ``benchmarks/results/<file>`` a document cites is in git.
+
+    ``benchmarks/results/`` is gitignored, so a regenerated artifact is
+    easy to cite and forget to force-add."""
+    try:
+        listed = subprocess.run(
+            ["git", "-C", str(REPO), "ls-files", "--", "benchmarks/results"],
+            capture_output=True,
+            text=True,
+        )
+    except OSError:
+        pytest.skip("git is not installed")
+    if listed.returncode != 0:
+        pytest.skip("not a git checkout")
+    tracked = set(listed.stdout.split())
+    docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + [
+        str(path.relative_to(REPO)) for path in sorted((REPO / "docs").glob("*.md"))
+    ]
+    missing = sorted({
+        f"{doc}: {cited}"
+        for doc in docs
+        for cited in re.findall(
+            r"benchmarks/results/[\w.-]+\.\w+", (REPO / doc).read_text()
+        )
+        if cited not in tracked
+    })
+    assert not missing, f"cited but not tracked by git: {missing}"
+
+
 def test_examples_are_importable():
     """Every example compiles (full runs are exercised separately)."""
     for example in sorted((REPO / "examples").glob("*.py")):
