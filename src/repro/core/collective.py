@@ -15,6 +15,7 @@ root contributes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -40,6 +41,25 @@ __all__ = ["OmniReduce", "CollectiveResult"]
 DEFAULT_MESSAGE_BYTES = 16384
 
 _operation_ids = itertools.count()
+
+
+def validate_start_delays(
+    worker_start_delays: Optional[Sequence[float]], workers: int
+) -> List[float]:
+    """Per-worker start delays as a list, zeros when ``None``.
+
+    Raises ``ValueError`` unless there is one finite, non-negative
+    delay per worker: a NaN or infinite delay would otherwise surface
+    as a meaningless completion time.
+    """
+    if worker_start_delays is None:
+        return [0.0] * workers
+    delays = [float(d) for d in worker_start_delays]
+    if len(delays) != workers:
+        raise ValueError(f"expected {workers} start delays, got {len(delays)}")
+    if not all(math.isfinite(d) and d >= 0 for d in delays):
+        raise ValueError("start delays must be finite and non-negative")
+    return delays
 
 
 class _ShiftedReadiness:
@@ -230,6 +250,8 @@ class OmniReduce:
         flats = [np.ascontiguousarray(t).reshape(-1) for t in tensors]
         sizes = [f.size for f in flats]
         total = sum(sizes)
+        if total == 0:
+            raise ValueError("cannot gather empty tensors")
         offsets = np.cumsum([0] + sizes[:-1])
         padded = []
         for flat, offset in zip(flats, offsets):
@@ -243,6 +265,8 @@ class OmniReduce:
         if not 0 <= root < workers:
             raise ValueError(f"root {root} out of range for {workers} workers")
         flat = np.ascontiguousarray(tensor).reshape(-1).astype(np.float32)
+        if flat.size == 0:
+            raise ValueError("cannot broadcast an empty tensor")
         return [
             flat.copy() if w == root else np.zeros(flat.size, dtype=np.float32)
             for w in range(workers)
@@ -255,11 +279,7 @@ class OmniReduce:
         gradient_readiness: Optional[Sequence],
     ) -> List[np.ndarray]:
         tensors = self._validate_inputs(tensors)
-        if worker_start_delays is not None:
-            if len(worker_start_delays) != self.cluster.spec.workers:
-                raise ValueError("need one start delay per worker")
-            if any(d < 0 for d in worker_start_delays):
-                raise ValueError("start delays must be non-negative")
+        validate_start_delays(worker_start_delays, self.cluster.spec.workers)
         if gradient_readiness is not None and len(gradient_readiness) != (
             self.cluster.spec.workers
         ):
@@ -363,11 +383,7 @@ class OmniReduce:
         if config.charge_bitmap:
             bitmap_delay = self.bitmap_model.time_s(outputs[0].size, config.block_size)
 
-        start_delays = (
-            list(worker_start_delays)
-            if worker_start_delays is not None
-            else [0.0] * spec.workers
-        )
+        start_delays = validate_start_delays(worker_start_delays, spec.workers)
         faults = getattr(self.cluster, "faults", None)
         crashes = []
         if faults is not None:

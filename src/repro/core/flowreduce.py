@@ -60,7 +60,7 @@ from ..netsim.flow import FlowUnsupported, cpu_chain, require_flow_capable, seri
 from ..telemetry.collect import TrafficSnapshot
 from ..tensors.blocks import num_blocks as _num_blocks
 from . import collective as _collective
-from .collective import CollectiveResult, OmniReduce
+from .collective import CollectiveResult, OmniReduce, validate_start_delays
 from .config import MAX_STREAMS
 from .partition import fusion_width, plan_streams
 from .pending import PendingCollective
@@ -162,11 +162,7 @@ class FlowOmniReduce(OmniReduce):
         if config.charge_bitmap:
             bitmap_delay = self.bitmap_model.time_s(total, block_size)
 
-        start_delays = (
-            list(worker_start_delays)
-            if worker_start_delays is not None
-            else [0.0] * num_workers
-        )
+        start_delays = validate_start_delays(worker_start_delays, num_workers)
         if faults is not None:
             for worker_id in range(num_workers):
                 start_delays[worker_id] += faults.worker_delay_s(worker_id)

@@ -64,6 +64,7 @@ from ..netsim.flow import (
     serialize_chain,
 )
 from ..tensors.accumulate import CooAccumulator
+from .collective import validate_start_delays
 from .features import DEFAULT_FEATURES, ProtocolFeatures
 from .pending import PendingCollective
 
@@ -283,13 +284,7 @@ class RackHierarchicalOmniReduce:
 
     def _start_delays(self, cluster, worker_start_delays) -> List[float]:
         workers = cluster.spec.workers
-        delays = (
-            list(worker_start_delays)
-            if worker_start_delays is not None
-            else [0.0] * workers
-        )
-        if len(delays) != workers:
-            raise ValueError(f"expected {workers} start delays, got {len(delays)}")
+        delays = validate_start_delays(worker_start_delays, workers)
         faults = getattr(cluster, "faults", None)
         if faults is not None:
             if getattr(faults, "aggregator_crashes", ()):

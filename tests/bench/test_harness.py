@@ -1,9 +1,15 @@
 """Tests for the experiment harness and CLI."""
 
+import numpy as np
 import pytest
 
 from repro.bench import ExperimentResult, format_table, sample_count, tensor_elements
 from repro.bench.__main__ import EXPERIMENTS, main
+from repro.bench.harness import element_sparse_tensors, flow_vs_packet
+from repro.core import OmniReduce, OmniReduceConfig
+from repro.core.flowreduce import FlowOmniReduce
+from repro.netsim import Cluster, ClusterSpec
+from repro.netsim.flow import flow_view
 
 
 def make_result():
@@ -143,3 +149,60 @@ def test_conformance_experiment_all_pass_and_mutants_caught():
     # The notes carry a minimized seed-replay for each mutant.
     minimized = [n for n in result.notes if "minimized to ConformanceCase(" in n]
     assert len(minimized) == 2
+
+
+def _paired_run(corrupt=None):
+    """A tiny flow-vs-packet workload; ``corrupt`` edits the flow result."""
+    tensors = element_sparse_tensors(4, 2048, 0.5, seed=1)
+
+    def run(flow):
+        cluster = Cluster(ClusterSpec(workers=4, aggregators=4))
+        if flow:
+            engine = FlowOmniReduce(flow_view(cluster), OmniReduceConfig())
+        else:
+            engine = OmniReduce(cluster, OmniReduceConfig())
+        result = engine.allreduce(tensors)
+        if flow and corrupt is not None:
+            corrupt(result)
+        return result
+
+    return run
+
+
+def test_element_sparse_tensors_is_seeded():
+    first = element_sparse_tensors(3, 1000, 0.9, seed=7)
+    again = element_sparse_tensors(3, 1000, 0.9, seed=7)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert all(t.dtype == np.float32 and t.size == 1000 for t in first)
+    assert 0.8 < np.mean(np.stack(first) == 0) < 0.95
+
+
+def test_flow_vs_packet_returns_both_walls():
+    flow, flow_wall, packet_wall = flow_vs_packet(_paired_run(), floor=0.0)
+    assert flow_wall > 0 and packet_wall > 0
+    assert flow.packets_sent > 0
+
+
+def test_flow_vs_packet_rejects_one_diverged_element():
+    def corrupt(result):
+        result.outputs[2] = result.outputs[2].copy()
+        result.outputs[2][5] = np.nextafter(result.outputs[2][5], np.inf)
+
+    with pytest.raises(RuntimeError, match="diverged"):
+        flow_vs_packet(_paired_run(corrupt), floor=0.0)
+
+
+@pytest.mark.parametrize(
+    "counter", ["bytes_sent", "packets_sent", "upward_bytes", "downward_bytes"]
+)
+def test_flow_vs_packet_rejects_one_diverged_counter(counter):
+    def corrupt(result):
+        setattr(result, counter, getattr(result, counter) + 1)
+
+    with pytest.raises(RuntimeError, match=counter):
+        flow_vs_packet(_paired_run(corrupt), floor=0.0)
+
+
+def test_flow_vs_packet_enforces_the_floor():
+    with pytest.raises(RuntimeError, match="below the floor"):
+        flow_vs_packet(_paired_run(), floor=1e9)

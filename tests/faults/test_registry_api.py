@@ -13,6 +13,7 @@ from repro.baselines import (
     get,
     prepare,
 )
+from repro.baselines.api import RackHierarchicalOptions
 from repro.core.config import OmniReduceConfig
 from repro.netsim.cluster import Cluster, ClusterSpec
 from repro.tensors import block_sparse_tensors
@@ -114,3 +115,42 @@ class TestSessionCollectives:
         broadcast = session.broadcast(tensors[0])
         np.testing.assert_allclose(broadcast.output, tensors[0], rtol=1e-5)
 
+    @pytest.mark.parametrize("sim_mode", ["packet", "flow"])
+    def test_omnireduce_rejects_empty_collectives(self, sim_mode):
+        session = prepare(
+            "omnireduce", _cluster(), OmniReduceOptions(sim_mode=sim_mode)
+        )
+        empty = np.zeros(0, dtype=np.float32)
+        with pytest.raises(ValueError, match="cannot gather empty tensors"):
+            session.allgather([empty] * WORKERS)
+        with pytest.raises(ValueError, match="cannot broadcast an empty tensor"):
+            session.broadcast(empty)
+
+    @pytest.mark.parametrize("sim_mode", ["packet", "flow"])
+    def test_omnireduce_gathers_around_empty_workers(self, sim_mode):
+        tensors = [t[:1024] for t in _tensors()]
+        tensors[0] = tensors[2] = np.zeros(0, dtype=np.float32)
+        session = prepare(
+            "omnireduce", _cluster(), OmniReduceOptions(sim_mode=sim_mode)
+        )
+        gathered = session.allgather(tensors)
+        np.testing.assert_allclose(
+            gathered.output, np.concatenate(tensors), rtol=1e-5
+        )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("sim_mode", ["packet", "flow"])
+@pytest.mark.parametrize("name", ["omnireduce", "rackhier"])
+def test_bad_start_delay_rejected(name, sim_mode, bad):
+    """Both engines of both algorithms refuse a start delay that is not
+    finite and non-negative, instead of reporting a bogus time."""
+    if name == "rackhier":
+        options = RackHierarchicalOptions(sim_mode=sim_mode, rack_size=2)
+    else:
+        options = OmniReduceOptions(sim_mode=sim_mode)
+    session = prepare(name, _cluster(), options)
+    delays = [0.0] * WORKERS
+    delays[1] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        session.allreduce(_tensors(), worker_start_delays=delays)

@@ -76,18 +76,71 @@ def test_cited_benchmark_artifacts_are_tracked():
     if listed.returncode != 0:
         pytest.skip("not a git checkout")
     tracked = set(listed.stdout.split())
-    docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + [
-        str(path.relative_to(REPO)) for path in sorted((REPO / "docs").glob("*.md"))
-    ]
     missing = sorted({
         f"{doc}: {cited}"
-        for doc in docs
+        for doc in _documents()
         for cited in re.findall(
             r"benchmarks/results/[\w.-]+\.\w+", (REPO / doc).read_text()
         )
         if cited not in tracked
     })
     assert not missing, f"cited but not tracked by git: {missing}"
+
+
+def _documents():
+    """README/DESIGN/EXPERIMENTS and every ``docs/*.md``."""
+    return ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + [
+        str(path.relative_to(REPO)) for path in sorted((REPO / "docs").glob("*.md"))
+    ]
+
+
+def bench_invocations(markdown: str):
+    """The argument text of every ``python -m repro.bench`` call in
+    ``markdown``: fenced blocks line by line (joining ``\\``
+    continuations) and inline code spans, which may wrap."""
+    fenced = re.findall(r"```[^\n]*\n(.*?)```", markdown, flags=re.DOTALL)
+    prose = re.sub(r"```.*?```", "", markdown, flags=re.DOTALL)
+    snippets = [block.replace("\\\n", " ") for block in fenced] + [
+        span.replace("\n", " ") for span in re.findall(r"`([^`]+)`", prose)
+    ]
+    return [
+        args.split(" #")[0]
+        for snippet in snippets
+        for args in re.findall(
+            r"python3?\s+-m\s+repro\.bench(?![\w.])([^\n]*)", snippet
+        )
+    ]
+
+
+def test_bench_invocations_parse_wrapped_and_continued_commands():
+    text = (
+        "Run `python -m repro.bench\nfig --old-flag x`.\n"
+        "```bash\nPYTHONPATH=src python3 -m repro.bench a \\\n  --other  # --not\n```\n"
+    )
+    assert [re.findall(r"--[a-z-]+", a) for a in bench_invocations(text)] == [
+        ["--other"], ["--old-flag"],
+    ]
+
+
+def test_documented_bench_flags_exist():
+    """Every ``--flag`` the documents pass to ``python -m repro.bench``
+    is one its parser accepts."""
+    from repro.bench.__main__ import build_parser
+
+    accepted = {
+        option
+        for action in build_parser()._actions
+        for option in action.option_strings
+    }
+    cited = {
+        (doc, flag)
+        for doc in _documents()
+        for args in bench_invocations((REPO / doc).read_text())
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", args)
+    }
+    assert {flag for _, flag in cited} >= {"--experiment", "--profile"}
+    unknown = sorted(f"{doc}: {flag}" for doc, flag in cited if flag not in accepted)
+    assert not unknown, f"documents cite unknown bench flags: {unknown}"
 
 
 def test_examples_are_importable():
