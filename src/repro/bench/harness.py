@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..conformance.differential import bit_identical
 from ..tensors import block_sparse_tensors
 
 __all__ = [
@@ -201,7 +202,7 @@ def flow_vs_packet(
     packet = run(False)
     packet_wall = time.perf_counter() - start
     for p_out, f_out in zip(packet.outputs, flow.outputs):
-        if not np.array_equal(np.asarray(p_out), np.asarray(f_out)):
+        if not bit_identical(p_out, f_out):
             raise RuntimeError(
                 "flow mode diverged from the packet kernel on the "
                 "reference workload; speedup numbers would be meaningless"

@@ -29,6 +29,7 @@ See ``docs/conformance.md`` for the workflow.
 from .differential import (
     DifferentialReport,
     TRANSPORT_TIME_RTOL,
+    bit_identical,
     differential_matrix,
     differential_sweep,
     flow_capable,
@@ -86,6 +87,7 @@ __all__ = [
     "sweep",
     "DifferentialReport",
     "TRANSPORT_TIME_RTOL",
+    "bit_identical",
     "differential_matrix",
     "differential_sweep",
     "flow_capable",

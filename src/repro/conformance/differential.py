@@ -7,8 +7,9 @@ inputs.  :func:`run_differential` executes one
 modes -- same cluster spec, same seeded tensors, same options -- and
 enforces the equivalence contract:
 
-* **tensors**: bit-identical (``np.array_equal`` on the raw float32
-  buffers, not approximate closeness);
+* **tensors**: bit-identical (:func:`bit_identical`: equal dtype,
+  shape and raw bytes, so NaN payloads and signed zeros count -- not
+  approximate closeness, nor value equality);
 * **wire counters**: exactly equal -- ``bytes_sent``, ``packets_sent``,
   ``upward_bytes``, ``downward_bytes``, plus the protocol counters
   (``rounds``, ``retransmissions``, ``duplicates``);
@@ -39,6 +40,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..baselines import registry
+from ..core.features import DEFAULT_FEATURES
 from ..core.flowreduce import TIME_RTOL
 from ..netsim.flow import FlowUnsupported
 from .patterns import SPARSITY_PATTERNS
@@ -46,6 +48,7 @@ from .runner import CaseReport, ConformanceCase, _LOSSY_FAULTS, run_case
 
 __all__ = [
     "TRANSPORT_TIME_RTOL",
+    "bit_identical",
     "DifferentialReport",
     "flow_capable",
     "run_differential",
@@ -74,6 +77,18 @@ _EXACT_COUNTERS = (
     "retransmissions",
     "duplicates",
 )
+
+
+def bit_identical(a, b) -> bool:
+    """Whether arrays ``a`` and ``b`` have equal dtype and shape and
+    equal raw bytes.  Unlike ``np.array_equal`` this tells ``-0.0`` from
+    ``+0.0`` and one NaN payload from another."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    )
 
 
 def time_tolerance(algorithm: str) -> float:
@@ -190,14 +205,9 @@ def run_differential(
         )
     else:
         for worker, (p_out, f_out) in enumerate(zip(pres.outputs, fres.outputs)):
-            if not np.array_equal(
-                np.asarray(p_out), np.asarray(f_out), equal_nan=True
-            ):
-                diff = int(
-                    (np.asarray(p_out) != np.asarray(f_out)).sum()
-                )
+            if not bit_identical(p_out, f_out):
                 report.problems.append(
-                    f"worker {worker} tensor differs in {diff} elements "
+                    f"worker {worker} tensor differs in its raw bytes "
                     "(bit-exact equality required)"
                 )
                 break
@@ -329,4 +339,13 @@ def differential_matrix(level: str = "smoke") -> List[ConformanceCase]:
                 seed=seed,
             )
         )
+    # Single-feature-off rows: the flow engines' ablation branches held
+    # to the packet engine's counters and times, not just the oracle.
+    for name in ("lookahead", "zero_block_suppression", "slot_parallelism",
+                 "fusion", "chunk_prefetch"):
+        off = DEFAULT_FEATURES.disable(name)
+        for workers in (4, 8):
+            cases.append(ConformanceCase(workers=workers, features=off))
+    off = DEFAULT_FEATURES.disable("zero_block_suppression")
+    cases.append(ConformanceCase(algorithm="rackhier", features=off))
     return cases

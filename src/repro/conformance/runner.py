@@ -236,10 +236,10 @@ class ConformanceCase:
 
     def options(self) -> Optional[Options]:
         if not self.algorithm.startswith("omnireduce"):
-            if self.sim_mode == "packet":
+            if self.sim_mode == "packet" and self.features is None:
                 return None  # registry defaults
             return registry.get(self.algorithm).options_cls.from_kwargs(
-                sim_mode=self.sim_mode
+                sim_mode=self.sim_mode, features=self.features
             )
         config = OmniReduceConfig(block_size=self.block_size)
         if self.features is not None:

@@ -27,7 +27,7 @@ from ..netsim.transport import DatagramTransport
 from ..telemetry.collect import TrafficSnapshot
 from ..telemetry.spans import NULL_RECORDER
 from ..tensors.bitmap import V100_BITMAP_MODEL, BitmapCostModel
-from ..tensors.blocks import BlockView
+from ..tensors.blocks import BlockView, num_blocks
 from .aggregator import RecoverySlotAggregator, SlotAggregator
 from .config import MAX_STREAMS, OmniReduceConfig
 from .partition import FusionLayout, fusion_width, plan_streams
@@ -39,6 +39,9 @@ __all__ = ["OmniReduce", "CollectiveResult"]
 
 #: Default RDMA/TCP message payload: slots work at message granularity (§5).
 DEFAULT_MESSAGE_BYTES = 16384
+
+#: Wire bytes per tensor value (float32).
+VALUE_BYTES = 4
 
 _operation_ids = itertools.count()
 
@@ -321,6 +324,89 @@ class OmniReduce:
             return limit
         return min(DEFAULT_MESSAGE_BYTES, limit)
 
+    def _prologue(
+        self,
+        start: float,
+        elements: int,
+        worker_start_delays: Optional[Sequence[float]],
+    ) -> tuple:
+        """Set-up both engines derive before the first send.
+
+        Returns ``(bitmap_delay, start_delays, prefetches, width, plan)``:
+        the bitmap charge, each worker's start delay plus its straggler
+        delay, each worker's GPU->host :class:`PrefetchSchedule` (``None``
+        under GDR), the fusion width and the stream plan.
+        """
+        spec = self.cluster.spec
+        config = self.config
+        features = config.features
+        bitmap_delay = 0.0
+        if config.charge_bitmap:
+            bitmap_delay = self.bitmap_model.time_s(elements, config.block_size)
+
+        start_delays = validate_start_delays(worker_start_delays, spec.workers)
+        faults = getattr(self.cluster, "faults", None)
+        if faults is not None:
+            for worker_id in range(spec.workers):
+                start_delays[worker_id] += faults.worker_delay_s(worker_id)
+
+        tensor_bytes = elements * VALUE_BYTES
+        # Chunk-prefetch ablated: the whole tensor must be host-resident
+        # before the first byte leaves.
+        chunk = (
+            {} if features.chunk_prefetch else {"chunk_bytes": max(1, tensor_bytes)}
+        )
+        prefetches: List[Optional[PrefetchSchedule]] = [
+            None
+            if spec.gdr
+            else PrefetchSchedule(
+                tensor_bytes,
+                spec.pcie_gbps * 1e9,
+                start_s=start + bitmap_delay + delay,
+                **chunk,
+            )
+            for delay in start_delays
+        ]
+
+        width = fusion_width(
+            config.block_size, VALUE_BYTES, self._payload_budget(), features.fusion
+        )
+        plan = plan_streams(
+            num_blocks(elements, config.block_size),
+            spec.num_shards,
+            config.effective_streams_per_shard,
+        )
+        if len(plan) > MAX_STREAMS:
+            raise ValueError(
+                f"{len(plan)} streams exceed the 12-bit slot id space of §5 "
+                f"({MAX_STREAMS}); lower streams_per_shard or the shard count"
+            )
+        return bitmap_delay, start_delays, prefetches, width, plan
+
+    def _details(
+        self,
+        extra: Dict[str, float],
+        bitmap_delay: float,
+        width: int,
+        streams: int,
+        recovery: bool,
+    ) -> Dict[str, float]:
+        """``CollectiveResult.details`` of either engine: ``extra``
+        followed by the keys every run reports."""
+        # Aggregator state is the slot pool: one (or two, with recovery's
+        # versioning) block-sized accumulators per lane per stream --
+        # independent of both tensor size and worker count, the §3
+        # space-complexity claim.
+        pool = streams * width * self.config.block_size * VALUE_BYTES
+        return {
+            **extra,
+            "bitmap_delay_s": bitmap_delay,
+            "fusion_width": width,
+            "streams": streams,
+            "recovery": float(recovery),
+            "aggregator_pool_bytes": float(pool * (2 if recovery else 1)),
+        }
+
     def _run(
         self,
         tensors: List[np.ndarray],
@@ -373,22 +459,17 @@ class OmniReduce:
         op_id = next(_operation_ids)
         prefix = f"or{op_id}"
         start = sim.now
-        value_bytes = 4
+        value_bytes = VALUE_BYTES
 
         outputs = [t.astype(np.float32, copy=True) for t in tensors]
         views = [BlockView(out, config.block_size) for out in outputs]
-        total_blocks = views[0].blocks
+        bitmap_delay, start_delays, prefetches, width, plan = self._prologue(
+            start, outputs[0].size, worker_start_delays
+        )
 
-        bitmap_delay = 0.0
-        if config.charge_bitmap:
-            bitmap_delay = self.bitmap_model.time_s(outputs[0].size, config.block_size)
-
-        start_delays = validate_start_delays(worker_start_delays, spec.workers)
         faults = getattr(self.cluster, "faults", None)
         crashes = []
         if faults is not None:
-            for worker_id in range(spec.workers):
-                start_delays[worker_id] += faults.worker_delay_s(worker_id)
             for crash in faults.aggregator_crashes:
                 if crash.shard >= spec.num_shards:
                     raise ValueError(
@@ -414,42 +495,11 @@ class OmniReduce:
                         start + start_delays[worker_id],
                     )
                 )
+        down_engines: List[Optional[CopyEngine]] = [
+            None if spec.gdr else CopyEngine(spec.pcie_gbps * 1e9)
+            for _ in range(spec.workers)
+        ]
 
-        tensor_bytes = outputs[0].size * value_bytes
-        prefetches: List[Optional[PrefetchSchedule]] = []
-        down_engines: List[Optional[CopyEngine]] = []
-        pcie_bps = spec.pcie_gbps * 1e9
-        for worker_id in range(spec.workers):
-            if spec.gdr:
-                prefetches.append(None)
-                down_engines.append(None)
-            else:
-                prefetches.append(
-                    PrefetchSchedule(
-                        tensor_bytes,
-                        pcie_bps,
-                        start_s=start + bitmap_delay + start_delays[worker_id],
-                        # Chunk-prefetch ablated: the whole tensor must
-                        # be host-resident before the first byte leaves.
-                        **(
-                            {}
-                            if features.chunk_prefetch
-                            else {"chunk_bytes": max(1, tensor_bytes)}
-                        ),
-                    )
-                )
-                down_engines.append(CopyEngine(pcie_bps))
-
-        budget = self._payload_budget()
-        width = fusion_width(config.block_size, value_bytes, budget, features.fusion)
-        plan = plan_streams(
-            total_blocks, spec.num_shards, config.effective_streams_per_shard
-        )
-        if len(plan) > MAX_STREAMS:
-            raise ValueError(
-                f"{len(plan)} streams exceed the 12-bit slot id space of §5 "
-                f"({MAX_STREAMS}); lower streams_per_shard or the shard count"
-            )
         recovery = self._use_recovery()
         telemetry = getattr(self.cluster, "telemetry", None)
         recorder = telemetry.recorder if telemetry is not None else NULL_RECORDER
@@ -782,24 +832,9 @@ class OmniReduce:
                 complete=not halted[0],
                 fault_events=fault_events,
                 staleness=staleness,
-                details={
-                    **details_extra,
-                    "bitmap_delay_s": bitmap_delay,
-                    "fusion_width": width,
-                    "streams": len(plan),
-                    "recovery": float(recovery),
-                    # Aggregator state is the slot pool: one (or two, with
-                    # recovery's versioning) block-sized accumulators per
-                    # lane per stream -- independent of both tensor size
-                    # and worker count, the §3 space-complexity claim.
-                    "aggregator_pool_bytes": float(
-                        len(plan)
-                        * width
-                        * config.block_size
-                        * value_bytes
-                        * (2 if recovery else 1)
-                    ),
-                },
+                details=self._details(
+                    details_extra, bitmap_delay, width, len(plan), recovery
+                ),
             )
 
         return PendingCollective(sim, waits, finalize, name=prefix)

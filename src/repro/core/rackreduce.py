@@ -31,13 +31,12 @@ construction; only the timing machinery differs:
   processes over :class:`~repro.baselines.common.SegmentedChannel` --
   the exact per-packet oracle.
 * :class:`FlowRackHierarchical` replays the same event sequence
-  analytically with :func:`~repro.netsim.flow.cpu_chain` /
-  :func:`~repro.netsim.flow.serialize_chain`, including the shared
-  topology pipes (:mod:`repro.netsim.topology`), booked in the packet
-  kernel's global send-call order.  Completion times agree within
-  :data:`~repro.core.flowreduce.TIME_RTOL` (the differential gauntlet
-  enforces it); this is what makes 4096-worker fat-tree sweeps finish
-  in seconds (``figure-6-scale``).
+  analytically on a :class:`~repro.netsim.flow.HostLedger`, including
+  the shared topology pipes (:mod:`repro.netsim.topology`), booked in
+  the packet kernel's global send-call order.  Completion times agree
+  within :data:`~repro.core.flowreduce.TIME_RTOL` (the differential
+  gauntlet enforces it); this is what makes 4096-worker fat-tree
+  sweeps finish in seconds (``figure-6-scale``).
 
 Both engines model NIC time only (no PCIe/GPU copy stages) and have no
 loss-recovery protocol: aggregator crash plans are refused.
@@ -45,7 +44,8 @@ loss-recovery protocol: aggregator crash plans are refused.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,12 +57,7 @@ from ..baselines.common import (
     fresh_prefix,
     validate_equal_tensors,
 )
-from ..netsim.flow import (
-    FlowUnsupported,
-    cpu_chain,
-    require_flow_capable,
-    serialize_chain,
-)
+from ..netsim.flow import HostLedger, require_flow_capable
 from ..tensors.accumulate import CooAccumulator
 from .collective import validate_start_delays
 from .features import DEFAULT_FEATURES, ProtocolFeatures
@@ -282,27 +277,49 @@ class RackHierarchicalOmniReduce:
 
     # -- shared helpers ----------------------------------------------------
 
-    def _start_delays(self, cluster, worker_start_delays) -> List[float]:
-        workers = cluster.spec.workers
-        delays = validate_start_delays(worker_start_delays, workers)
+    def _setup(self, cluster, tensors, worker_start_delays):
+        """Start delays (plus straggler delays), the plan, the flow
+        prefix and the traffic measurement of one run."""
+        flats = validate_equal_tensors(cluster, tensors)
+        delays = validate_start_delays(worker_start_delays, cluster.spec.workers)
         faults = getattr(cluster, "faults", None)
         if faults is not None:
-            if getattr(faults, "aggregator_crashes", ()):
+            if faults.aggregator_crashes:
                 raise ValueError(
                     "rack-hierarchical AllReduce has no aggregator "
                     "failover; remove the crash plan"
                 )
-            for w in range(workers):
-                delays[w] += faults.worker_delay_s(w)
-        return delays
+            delays = [d + faults.worker_delay_s(w) for w, d in enumerate(delays)]
+        plan = _plan(
+            flats,
+            len(cluster.aggregator_hosts),
+            self.rack_size,
+            self.block_size,
+            self.features.zero_block_suppression,
+        )
+        prefix = fresh_prefix("rh")
+        return delays, plan, prefix, MeasuredRun(self.cluster, f"{prefix}.up")
 
-    def _details(self, plan: _Plan) -> Dict[str, float]:
-        return {
+    def _pending(self, sim, waits, run, plan: _Plan, prefix: str):
+        """The run's handle: every worker's output is the plan's."""
+        workers = len(plan.rack_of)
+        details = {
             "racks": float(len(plan.racks)),
             "rack_size": float(self.rack_size),
             "union_blocks": float(plan.union_blocks),
             "zero_blocks_suppressed": float(plan.zero_blocks_suppressed),
         }
+        return PendingCollective(
+            sim,
+            waits,
+            lambda: run.finish(
+                [plan.output.copy() for _ in range(workers)],
+                rounds=4,
+                downward_bytes=run.snapshot.flow_bytes(f"{prefix}.down"),
+                **details,
+            ),
+            name=prefix,
+        )
 
     def allreduce(self, tensors: Sequence[np.ndarray], **kwargs):
         return self.begin(tensors, **kwargs).wait()
@@ -316,23 +333,13 @@ class RackHierarchicalOmniReduce:
     ) -> PendingCollective:
         cluster = getattr(self.cluster, "flow_base", self.cluster)
         sim = cluster.sim
-        flats = validate_equal_tensors(cluster, tensors)
         workers = cluster.spec.workers
         aggs = len(cluster.aggregator_hosts)
-        delays = self._start_delays(cluster, worker_start_delays)
-        plan = _plan(
-            flats,
-            aggs,
-            self.rack_size,
-            self.block_size,
-            self.features.zero_block_suppression,
+        delays, plan, prefix, run = self._setup(
+            cluster, tensors, worker_start_delays
         )
-        outputs = [plan.output.copy() for _ in range(workers)]
-
-        prefix = fresh_prefix("rh")
         up_flow = f"{prefix}.up"
         down_flow = f"{prefix}.down"
-        run = MeasuredRun(self.cluster, up_flow)
 
         whosts = cluster.worker_hosts
         ahosts = cluster.aggregator_hosts
@@ -436,24 +443,15 @@ class RackHierarchicalOmniReduce:
         def waits():
             yield sim.all_of(processes)
 
-        return PendingCollective(
-            sim,
-            waits,
-            lambda: run.finish(
-                outputs,
-                rounds=4,
-                downward_bytes=run.snapshot.flow_bytes(down_flow),
-                **self._details(plan),
-            ),
-            name=prefix,
-        )
+        return self._pending(sim, waits, run, plan, prefix)
 
 
 class FlowRackHierarchical(RackHierarchicalOmniReduce):
     """The same protocol, replayed analytically (flow mode).
 
-    Every NIC-stage booking of the packet engine is reproduced with the
-    chain helpers in the packet kernel's processing order; shared
+    Every NIC-stage booking of the packet engine is reproduced on a
+    :class:`~repro.netsim.flow.HostLedger` in the packet kernel's
+    processing order; shared
     topology pipes are booked through ``traverse_core_chain`` (the
     order-exact vectorization of ``traverse_core``) in global send-call
     order (ties broken the way the event queue
@@ -471,54 +469,26 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
         sim = cluster.sim
         network = cluster.network
         transport = getattr(cluster.transport, "inner", cluster.transport)
-        require_flow_capable(network, transport)
-        faults = getattr(cluster, "faults", None)
-        if faults is not None and getattr(faults, "aggregator_crashes", ()):
-            raise FlowUnsupported(
-                "aggregator crash/restart orchestration interrupts protocol "
-                "processes mid-round; use packet mode"
-            )
+        require_flow_capable(
+            network, transport, getattr(cluster, "faults", None)
+        )
 
-        flats = validate_equal_tensors(cluster, tensors)
         workers = cluster.spec.workers
         aggs = len(cluster.aggregator_hosts)
-        delays = self._start_delays(cluster, worker_start_delays)
-        plan = _plan(
-            flats,
-            aggs,
-            self.rack_size,
-            self.block_size,
-            self.features.zero_block_suppression,
+        delays, plan, prefix, run = self._setup(
+            cluster, tensors, worker_start_delays
         )
-        outputs = [plan.output.copy() for _ in range(workers)]
-
-        prefix = fresh_prefix("rh")
-        up_flow = f"{prefix}.up"
-        down_flow = f"{prefix}.down"
-        run = MeasuredRun(self.cluster, up_flow)
         start = sim.now
 
         whosts = cluster.worker_hosts
         ahosts = cluster.aggregator_hosts
-        names = list(whosts) + list(ahosts)
-        hosts = [network.hosts[n] for n in names]
+        # Worker and (dedicated) aggregator hosts are distinct, so host
+        # ``workers + j`` is aggregator ``j``.
+        ledger = HostLedger(network, list(whosts) + list(ahosts))
         topology = network.topology
         latency = network.latency_s
         seg_cap = min(self.segment_bytes, transport.max_payload_bytes())
         wire = transport.wire_bytes
-
-        n_hosts = len(hosts)
-        tx_free = np.array([h.tx_cpu_free_at for h in hosts])
-        eg_free = np.array([h.egress_free_at for h in hosts])
-        in_free = np.array([h.ingress_free_at for h in hosts])
-        rx_free = np.array([h.rx_cpu_free_at for h in hosts])
-        tx_cost = np.array([h.tx_cpu_cost_s for h in hosts])
-        rx_cost = np.array([h.rx_cpu_cost_s for h in hosts])
-        bw = np.array([h.bandwidth_bps for h in hosts])
-        sent_b = np.zeros(n_hosts, dtype=np.int64)
-        sent_p = np.zeros(n_hosts, dtype=np.int64)
-        recv_b = np.zeros(n_hosts, dtype=np.int64)
-        recv_p = np.zeros(n_hosts, dtype=np.int64)
         up_bytes = 0
         down_bytes = 0
 
@@ -527,52 +497,18 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
         nracks = len(racks)
         s = np.asarray(delays, dtype=np.float64) + start
 
-        def send_chain(h: int, at: float, sizes: np.ndarray) -> np.ndarray:
-            """Book ``sizes`` through host ``h``'s tx CPU + egress at
-            one send-call instant; returns egress-exit times."""
-            ready = cpu_chain(np.full(sizes.size, at), tx_cost[h], tx_free[h])
-            tx_free[h] = ready[-1]
-            done = serialize_chain(ready, sizes * (8.0 / bw[h]), eg_free[h])
-            eg_free[h] = done[-1]
-            sent_b[h] += int(sizes.sum())
-            sent_p[h] += sizes.size
-            return done
-
-        def recv_chain(
-            h: int, arrivals: np.ndarray, sizes: np.ndarray
-        ) -> Tuple[np.ndarray, np.ndarray]:
-            """Book arrivals through host ``h``'s ingress + rx CPU in
-            the packet kernel's processing order (stable by arrival
-            time; the caller pre-orders ties by send sequence).  Returns
-            ``(deliver_times_in_input_order, processing_order)``."""
-            order = np.argsort(arrivals, kind="stable")
-            rx_done = serialize_chain(
-                arrivals[order], sizes[order] * (8.0 / bw[h]), in_free[h]
-            )
-            in_free[h] = rx_done[-1]
-            deliver = cpu_chain(rx_done, rx_cost[h], rx_free[h])
-            rx_free[h] = deliver[-1]
-            recv_b[h] += int(sizes.sum())
-            recv_p[h] += sizes.size
-            out = np.empty_like(deliver)
-            out[order] = deliver
-            return out, order
-
         # Segment framing repeats across messages (payloads are all
         # ``seg_cap`` except the tail), so wire sizes are one np.full
         # plus a tail lookup, memoized by message size.  Callers treat
         # the cached arrays as read-only.
         wire_full = float(wire(seg_cap))
-        _wire_cache: dict = {}
 
+        @functools.lru_cache(maxsize=None)
         def wire_sizes(nbytes: int) -> np.ndarray:
-            sz = _wire_cache.get(nbytes)
-            if sz is None:
-                n = max(1, nbytes)
-                nseg = -(-n // seg_cap)
-                sz = np.full(nseg, wire_full)
-                sz[-1] = float(wire(n - (nseg - 1) * seg_cap))
-                _wire_cache[nbytes] = sz
+            n = max(1, nbytes)
+            nseg = -(-n // seg_cap)
+            sz = np.full(nseg, wire_full)
+            sz[-1] = float(wire(n - (nseg - 1) * seg_cap))
             return sz
 
         # ---- up1: members -> leader, intra-rack --------------------------
@@ -586,14 +522,14 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
             pos = 0
             for m in members:
                 sz = wire_sizes(int(plan.up1_nbytes[m]))
-                done = send_chain(m, s[m], sz)
+                done = ledger.send(m, s[m], sz)
                 arrivals.append(done + latency)
                 sizes_l.append(sz)
                 pos += sz.size
                 ends.append(pos - 1)
                 up_bytes += int(sz.sum())
             if members:
-                deliver, _ = recv_chain(
+                deliver, _ = ledger.recv(
                     leader, np.concatenate(arrivals), np.concatenate(sizes_l)
                 )
                 fanin = max(float(deliver[ends].max()), s[leader])
@@ -607,7 +543,7 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
         for r in np.argsort(T, kind="stable"):
             leader = leaders[r]
             per_msg = [wire_sizes(int(plan.up2_nbytes[r, j])) for j in range(aggs)]
-            done = send_chain(leader, T[r], np.concatenate(per_msg))
+            done = ledger.send(leader, T[r], np.concatenate(per_msg))
             up_bytes += int(sum(int(sz.sum()) for sz in per_msg))
             k = 0
             for j in range(aggs):
@@ -624,7 +560,7 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
         U = np.empty(aggs)
         for j in range(aggs):
             sizes_all = np.concatenate(agg_sz[j])
-            deliver, _ = recv_chain(
+            deliver, _ = ledger.recv(
                 workers + j, np.concatenate(agg_arr[j]), sizes_all
             )
             ends_j = np.cumsum([sz.size for sz in agg_sz[j]]) - 1
@@ -635,7 +571,7 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
         lead_sz: List[List[np.ndarray]] = [[] for _ in range(nracks)]
         for j in np.argsort(U, kind="stable"):
             sz1 = wire_sizes(int(plan.down1_nbytes[j]))
-            done = send_chain(
+            done = ledger.send(
                 workers + j, U[j], np.tile(sz1, nracks)
             )
             down_bytes += int(sz1.sum()) * nracks
@@ -650,7 +586,7 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
 
         V = np.empty(nracks)
         for r in range(nracks):
-            deliver, _ = recv_chain(
+            deliver, _ = ledger.recv(
                 leaders[r], np.concatenate(lead_arr[r]), np.concatenate(lead_sz[r])
             )
             ends_r = np.cumsum([sz.size for sz in lead_sz[r]]) - 1
@@ -663,39 +599,16 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
             members = list(range(lo + 1, hi))
             if not members:
                 continue
-            done = send_chain(leaders[r], V[r], np.tile(sz2, len(members)))
+            done = ledger.send(leaders[r], V[r], np.tile(sz2, len(members)))
             down_bytes += int(sz2.sum()) * len(members)
             for i, m in enumerate(members):
                 arr = done[i * sz2.size : (i + 1) * sz2.size] + latency
-                deliver, _ = recv_chain(m, arr, sz2)
+                deliver, _ = ledger.recv(m, arr, sz2)
                 end_time = max(end_time, float(deliver[-1]))
 
-        # ---- write back shared state (reserve-at-begin) ------------------
-        for i, host in enumerate(hosts):
-            host.tx_cpu_free_at = float(tx_free[i])
-            host.egress_free_at = float(eg_free[i])
-            host.ingress_free_at = float(in_free[i])
-            host.rx_cpu_free_at = float(rx_free[i])
-        stats = network.stats
-        for i, name in enumerate(names):
-            stats.bytes_sent[name] += int(sent_b[i])
-            stats.packets_sent[name] += int(sent_p[i])
-            stats.bytes_received[name] += int(recv_b[i])
-            stats.packets_received[name] += int(recv_p[i])
-        stats.flow_bytes[up_flow] += up_bytes
-        stats.flow_bytes[down_flow] += down_bytes
+        ledger.commit({f"{prefix}.up": up_bytes, f"{prefix}.down": down_bytes})
 
         def waits():
             yield sim.timeout(max(0.0, end_time - sim.now))
 
-        return PendingCollective(
-            sim,
-            waits,
-            lambda: run.finish(
-                outputs,
-                rounds=4,
-                downward_bytes=run.snapshot.flow_bytes(down_flow),
-                **self._details(plan),
-            ),
-            name=prefix,
-        )
+        return self._pending(sim, waits, run, plan, prefix)

@@ -24,9 +24,12 @@ Two layers build on it:
   message, instead of per-segment ingress + delivery + receiver
   resumption).  Every baseline collective gains flow mode this way,
   unchanged.
-* :class:`~repro.core.flowreduce.FlowOmniReduce` uses the chain helpers
-  below to collapse whole protocol rounds into vectorized numpy over the
-  same formulas (that is where the >=100x comes from).
+* :class:`HostLedger` is the timing model of the analytical engines
+  (:class:`~repro.core.flowreduce.FlowOmniReduce` and
+  :class:`~repro.core.rackreduce.FlowRackHierarchical`): a snapshot of
+  the hosts' pipeline state that books whole chains of packets with the
+  helpers below, collapsing protocol rounds into vectorized numpy over
+  the same formulas (that is where the >=100x comes from).
 
 Multi-tier topologies (:mod:`repro.netsim.topology`) are supported:
 the packet kernel books the shared uplink/downlink/spine pipes
@@ -48,7 +51,7 @@ guarantees.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,6 +66,7 @@ __all__ = [
     "FlowCluster",
     "flow_view",
     "require_flow_capable",
+    "HostLedger",
     "cpu_chain",
     "serialize_chain",
 ]
@@ -79,8 +83,16 @@ class FlowUnsupported(RuntimeError):
     """
 
 
-def require_flow_capable(network: Network, transport: Transport) -> None:
-    """Validate that ``network``/``transport`` admit flow-mode semantics."""
+def require_flow_capable(
+    network: Network, transport: Transport, faults=None
+) -> None:
+    """Validate that ``network``/``transport`` (and the cluster's fault
+    plan ``faults``, if any) admit flow-mode semantics."""
+    if faults is not None and faults.aggregator_crashes:
+        raise FlowUnsupported(
+            "aggregator crash/restart orchestration interrupts protocol "
+            "processes mid-round; use packet mode"
+        )
     if isinstance(transport, FlowTransport):
         return  # already validated at wrap time
     if isinstance(transport, DatagramTransport):
@@ -160,6 +172,101 @@ def serialize_chain(
     prev = cum - durations
     base = np.maximum.accumulate(np.maximum(ready, free0) - prev, axis=-1)
     return base + cum
+
+
+# ---------------------------------------------------------------------------
+# HostLedger: the analytical engines' NIC timing model
+# ---------------------------------------------------------------------------
+
+
+class HostLedger:
+    """Per-host NIC pipeline state of one analytical flow collective.
+
+    Snapshots each host's stage availability (``tx_cpu_free_at``,
+    ``egress_free_at``, ``ingress_free_at``, ``rx_cpu_free_at``), its
+    per-packet CPU costs and its bandwidth into arrays indexed like
+    :attr:`names` (the given host names, de-duplicated in order), books
+    chains of packets against them, counts the bytes and packets each
+    host sends and receives, and writes it all back with :meth:`commit`.
+    Engines may also book vectorized on the arrays directly (views keep
+    the state shared).
+    """
+
+    def __init__(self, network: Network, names: Sequence[str]) -> None:
+        self.network = network
+        self.names: List[str] = list(dict.fromkeys(names))
+        self.index: Dict[str, int] = {n: i for i, n in enumerate(self.names)}
+        hosts = self.hosts = [network.hosts[n] for n in self.names]
+        self.tx_free = np.array([h.tx_cpu_free_at for h in hosts])
+        self.eg_free = np.array([h.egress_free_at for h in hosts])
+        self.in_free = np.array([h.ingress_free_at for h in hosts])
+        self.rx_free = np.array([h.rx_cpu_free_at for h in hosts])
+        self.tx_cost = np.array([h.tx_cpu_cost_s for h in hosts])
+        self.rx_cost = np.array([h.rx_cpu_cost_s for h in hosts])
+        self.bw = np.array([h.bandwidth_bps for h in hosts])
+        self.sent_bytes = np.zeros(len(hosts), dtype=np.int64)
+        self.sent_pkts = np.zeros(len(hosts), dtype=np.int64)
+        self.recv_bytes = np.zeros(len(hosts), dtype=np.int64)
+        self.recv_pkts = np.zeros(len(hosts), dtype=np.int64)
+
+    def send(self, h: int, at: float, wire_sizes: np.ndarray) -> np.ndarray:
+        """Book packets of ``wire_sizes`` bytes, all sent by host ``h``
+        at one instant ``at``, through its tx CPU and egress NIC;
+        returns their egress-exit times."""
+        ready = cpu_chain(
+            np.full(wire_sizes.size, at), self.tx_cost[h], self.tx_free[h]
+        )
+        self.tx_free[h] = ready[-1]
+        done = serialize_chain(
+            ready, wire_sizes * (8.0 / self.bw[h]), self.eg_free[h]
+        )
+        self.eg_free[h] = done[-1]
+        self.sent_bytes[h] += int(wire_sizes.sum())
+        self.sent_pkts[h] += wire_sizes.size
+        return done
+
+    def recv(
+        self, h: int, arrivals: np.ndarray, wire_sizes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Book packets arriving at host ``h`` through its ingress NIC
+        and rx CPU in the packet kernel's processing order: by arrival
+        time, equal times in input order (callers list ties in send
+        order).  Returns ``(deliver times in input order, processing
+        order)``."""
+        order = np.argsort(arrivals, kind="stable")
+        rx_done = serialize_chain(
+            arrivals[order],
+            wire_sizes[order] * (8.0 / self.bw[h]),
+            self.in_free[h],
+        )
+        self.in_free[h] = rx_done[-1]
+        deliver = cpu_chain(rx_done, self.rx_cost[h], self.rx_free[h])
+        self.rx_free[h] = deliver[-1]
+        self.recv_bytes[h] += int(wire_sizes.sum())
+        self.recv_pkts[h] += wire_sizes.size
+        out = np.empty_like(deliver)
+        out[order] = deliver
+        return out, order
+
+    def commit(self, flow_bytes: Dict[str, int]) -> None:
+        """Write the booked state back to the hosts and the network's
+        stats, adding ``flow_bytes`` (flow label -> wire bytes).
+
+        The collective's whole run is reserved at submit time, so
+        concurrent flow collectives queue behind it; traffic snapshots
+        taken before booking keep per-run deltas exact."""
+        stats = self.network.stats
+        for i, (name, host) in enumerate(zip(self.names, self.hosts)):
+            host.tx_cpu_free_at = float(self.tx_free[i])
+            host.egress_free_at = float(self.eg_free[i])
+            host.ingress_free_at = float(self.in_free[i])
+            host.rx_cpu_free_at = float(self.rx_free[i])
+            stats.bytes_sent[name] += int(self.sent_bytes[i])
+            stats.packets_sent[name] += int(self.sent_pkts[i])
+            stats.bytes_received[name] += int(self.recv_bytes[i])
+            stats.packets_received[name] += int(self.recv_pkts[i])
+        for flow, nbytes in flow_bytes.items():
+            stats.flow_bytes[flow] += int(nbytes)
 
 
 # ---------------------------------------------------------------------------

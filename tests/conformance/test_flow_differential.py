@@ -8,15 +8,19 @@ flow-only mutants prove the differential can actually catch both
 failure modes it exists for -- wrong timing and wrong billing.
 """
 
+import numpy as np
 import pytest
 
 from repro.baselines import registry
 from repro.conformance import (
     ConformanceCase,
+    bit_identical,
     differential_matrix,
     flow_capable,
     run_differential,
 )
+from repro.core.config import OmniReduceConfig
+from repro.netsim import Cluster, ClusterSpec
 
 pytestmark = [pytest.mark.conformance, pytest.mark.flowmode]
 
@@ -114,3 +118,59 @@ def test_flow_mutants_do_not_corrupt_packet_mode():
     ):
         report = run_case(ConformanceCase(algorithm=algorithm, mutant=mutant))
         assert report.ok, report.summary()
+
+
+def _nan_and_signed_zero_tensors(workers=4, elements=2048, block=64):
+    """NaNs of two payloads at one index, a -0.0-only block on one
+    worker, and -0.0 scattered among the non-zeros (at index 7 on every
+    worker, so a -0.0 sum reaches the output)."""
+    rng = np.random.default_rng(3)
+    tensors = []
+    for _ in range(workers):
+        t = rng.standard_normal(elements).astype(np.float32)
+        t[rng.random(elements) < 0.6] = 0.0
+        t[rng.integers(0, elements, 20)] = -0.0
+        t[7] = -0.0
+        t[5 * block : 6 * block] = 0.0
+        tensors.append(t)
+    tensors[0].view(np.uint32)[100] = 0x7FC00000
+    tensors[1].view(np.uint32)[100] = 0x7FC00001
+    tensors[2][5 * block : 6 * block] = -0.0
+    return tensors
+
+
+@pytest.mark.parametrize(
+    "algorithm, options",
+    [
+        ("omnireduce", {"config": OmniReduceConfig(deterministic=True)}),
+        ("omnireduce", {"config": OmniReduceConfig(deterministic=False)}),
+        ("rackhier", {}),
+    ],
+    ids=["omnireduce-deterministic", "omnireduce-arrival-order", "rackhier"],
+)
+def test_flow_outputs_are_byte_identical_with_nans_and_signed_zeros(
+    algorithm, options
+):
+    tensors = _nan_and_signed_zero_tensors()
+    collective = registry.get(algorithm)
+    results = []
+    for sim_mode in ("packet", "flow"):
+        cluster = Cluster(ClusterSpec(workers=4, aggregators=4))
+        opts = collective.options_cls.from_kwargs(sim_mode=sim_mode, **options)
+        session = collective.prepare(cluster, opts)
+        results.append(session.allreduce([t.copy() for t in tensors]))
+    packet, flow = results
+    assert np.isnan(packet.outputs[0][100])
+    for p_out, f_out in zip(packet.outputs, flow.outputs):
+        assert bit_identical(p_out, f_out)
+
+
+def test_bit_identical_tells_signed_zeros_and_nan_payloads_apart():
+    a = np.array([0.0, 1.0], dtype=np.float32)
+    assert bit_identical(a, a.copy())
+    assert not bit_identical(a, np.array([-0.0, 1.0], dtype=np.float32))
+    nan_a = np.array([0x7FC00000], dtype=np.uint32).view(np.float32)
+    nan_b = np.array([0x7FC00001], dtype=np.uint32).view(np.float32)
+    assert np.array_equal(nan_a, nan_b, equal_nan=True)
+    assert not bit_identical(nan_a, nan_b)
+    assert not bit_identical(a, a.astype(np.float64))

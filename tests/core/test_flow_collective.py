@@ -10,11 +10,13 @@ within ``TIME_RTOL``.
 import numpy as np
 import pytest
 
+from repro.conformance import bit_identical
 from repro.conformance.patterns import make_tensors
 from repro.core.collective import OmniReduce
 from repro.core.config import OmniReduceConfig
-from repro.core import flowreduce
-from repro.core.flowreduce import TIME_RTOL, FlowOmniReduce
+from repro.core.features import ProtocolFeatures
+from repro.core.flowreduce import TIME_RTOL, FlowOmniReduce, stream_schedule
+from repro.core.partition import plan_streams
 from repro.faults import AggregatorCrash, FaultPlan, StragglerSchedule
 from repro.netsim import Cluster, ClusterSpec
 from repro.netsim.flow import FlowUnsupported, flow_view
@@ -49,7 +51,7 @@ def _run_pair(config=None, workers=4, aggregators=None, tensors=None,
 
 def _assert_equivalent(packet, flow):
     for p_out, f_out in zip(packet.outputs, flow.outputs):
-        assert np.array_equal(np.asarray(p_out), np.asarray(f_out))
+        assert bit_identical(p_out, f_out)
     assert flow.bytes_sent == packet.bytes_sent
     assert flow.packets_sent == packet.packets_sent
     assert flow.upward_bytes == packet.upward_bytes
@@ -120,25 +122,6 @@ def test_flow_engine_matches_with_start_delays():
     _assert_equivalent(packet, flow)
 
 
-def test_order_trace_records_per_round_responder_orders():
-    tensors = _tensors()
-    flowreduce.ORDER_TRACE = trace = []
-    try:
-        cluster = Cluster(ClusterSpec(workers=4, aggregators=4))
-        engine = FlowOmniReduce(
-            flow_view(cluster), OmniReduceConfig(deterministic=False)
-        )
-        result = engine.allreduce([t.copy() for t in tensors])
-    finally:
-        flowreduce.ORDER_TRACE = None
-    assert result.complete
-    assert trace, "non-deterministic runs must record fold orders"
-    for _stream, _round, order in trace:
-        # Each round's fold order is a permutation of distinct workers.
-        assert len(set(order)) == len(order)
-        assert all(0 <= w < 4 for w in order)
-
-
 def test_flow_unsupported_gates():
     tensors = _tensors()
 
@@ -188,3 +171,30 @@ def test_switchml_flow_matches_packet():
     packet, flow = results
     _assert_equivalent(packet, flow)
     assert flow.details["algorithm"] == "switchml*"
+
+
+def test_stream_schedule_is_algorithm_1_on_a_hand_example():
+    # Two lanes over eight blocks; worker 2 lists nothing.
+    nz = np.zeros((3, 8), dtype=bool)
+    nz[0, [0, 3]] = True
+    nz[1, [2, 3, 6]] = True
+    (sch,) = stream_schedule(
+        nz, plan_streams(8, 1, 1), 2, 64, ProtocolFeatures(), lambda p: p + 100
+    )
+    # Lane 0 skips position 4 (nobody lists it), lane 1 positions 5, 7.
+    assert sch.req.tolist() == [[0, 2, 6], [1, 3, -1]]
+    assert sch.counts.tolist() == [[1, 1, 0], [0, 2, 1], [0, 0, 0]]
+    assert sch.data_lanes.tolist() == [1, 2, 1]
+    assert sch.resp_mask.tolist() == (sch.counts > 0).tolist()
+    assert sch.suppressed == 3 * 8 - 5
+    # Payload: 4-byte header, 8 bytes per lane entry, 256-byte blocks.
+    assert sch.first_sizes.tolist() == [376, 120, 120]
+    assert sch.mc_sizes.tolist() == [376, 632, 368]
+    assert sch.deepest_blocks().tolist() == [[0, 3, -1], [-1, 3, 6], [-1, -1, -1]]
+    # Look-ahead ablated: every lane position is requested in turn.
+    (dense,) = stream_schedule(
+        nz, plan_streams(8, 1, 1), 2, 64,
+        ProtocolFeatures(lookahead=False), lambda p: p + 100,
+    )
+    assert dense.req.tolist() == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    assert dense.resp_mask.all()

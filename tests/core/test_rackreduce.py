@@ -13,6 +13,7 @@ import pytest
 
 from repro.baselines.api import RackHierarchicalOptions
 from repro.baselines.registry import ALGORITHMS
+from repro.conformance import bit_identical
 from repro.core.flowreduce import TIME_RTOL
 from repro.core.rackreduce import RackHierarchicalOmniReduce
 from repro.faults.models import AggregatorCrash, FaultPlan
@@ -103,7 +104,7 @@ def test_flow_matches_packet_flat(workers, aggregators, rack_size, elements, kw)
     fres = _run(_cluster(workers, aggregators), tensors, flow=True,
                 rack_size=rack_size, **kw)
     for p, f in zip(pres.outputs, fres.outputs):
-        assert np.array_equal(p, f)
+        assert bit_identical(p, f)
     for name in EXACT:
         assert getattr(pres, name) == getattr(fres, name), name
     assert fres.time_s == pytest.approx(pres.time_s, rel=TIME_RTOL)
@@ -117,7 +118,7 @@ def test_flow_matches_packet_on_fat_tree(sparsity):
     fres = _run(_cluster(8, 2, topology=True), tensors, flow=True,
                 rack_size=2, segment_bytes=512)
     for p, f in zip(pres.outputs, fres.outputs):
-        assert np.array_equal(p, f)
+        assert bit_identical(p, f)
     for name in EXACT:
         assert getattr(pres, name) == getattr(fres, name), name
     assert fres.time_s == pytest.approx(pres.time_s, rel=TIME_RTOL)
@@ -138,7 +139,7 @@ def test_flow_matches_packet_with_stragglers():
 
     pres, fres = run(False), run(True)
     for p, f in zip(pres.outputs, fres.outputs):
-        assert np.array_equal(p, f)
+        assert bit_identical(p, f)
     for name in EXACT:
         assert getattr(pres, name) == getattr(fres, name), name
     assert fres.time_s == pytest.approx(pres.time_s, rel=TIME_RTOL)

@@ -21,7 +21,10 @@ properties of the store-and-forward model.  Hypothesis pins all of it:
   exactly;
 * a :class:`~repro.netsim.flow.FlowTransport` send matches the packet
   transport bit-for-bit on a two-host link: same delivery times, same
-  byte/packet counters.
+  byte/packet counters;
+* the :class:`~repro.netsim.flow.HostLedger` (the analytical engines'
+  timing model) equals a scalar per-packet loop of the chain
+  recurrences, bit for bit.
 """
 
 import numpy as np
@@ -30,7 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import Cluster, ClusterSpec
-from repro.netsim.flow import FlowTransport, cpu_chain, serialize_chain
+from repro.netsim.flow import (
+    FlowTransport,
+    HostLedger,
+    cpu_chain,
+    serialize_chain,
+)
 
 pytestmark = pytest.mark.flowmode
 
@@ -209,3 +217,116 @@ def test_property_flow_transport_matches_packet_on_single_link(
         )
 
     assert run(False) == run(True)
+
+
+def _scalar_cpu(times, cost, free0):
+    """cpu_chain's recurrence, one packet at a time, same association."""
+    out, base = [], -np.inf
+    for i, t in enumerate(times):
+        base = max(base, max(t, free0) - i * cost)
+        out.append(base + (i + 1.0) * cost)
+    return out
+
+
+def _scalar_serialize(ready, durations, free0):
+    """serialize_chain's recurrence, one packet at a time, same
+    association (a running duration sum, as ``np.cumsum``)."""
+    out, base, cum = [], -np.inf, 0.0
+    for r, d in zip(ready, durations):
+        cum = cum + d
+        base = max(base, max(r, free0) - (cum - d))
+        out.append(base + cum)
+    return out
+
+
+trains = st.lists(
+    st.tuples(
+        st.sampled_from(["send", "recv"]),
+        st.integers(min_value=0, max_value=2),  # host
+        st.lists(
+            st.tuples(
+                # A coarse time grid makes equal arrival times common.
+                st.integers(min_value=0, max_value=8),
+                st.integers(min_value=64, max_value=9000),  # wire bytes
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(ops=trains, seed=st.integers(min_value=0, max_value=999))
+@settings(max_examples=60, deadline=None)
+def test_property_host_ledger_matches_scalar_per_packet_booking(ops, seed):
+    """Segment trains booked through HostLedger.send/recv and committed
+    equal a scalar per-packet loop bit for bit: delivery times, every
+    host's ``*_free_at`` and the network's byte and packet counters;
+    equal arrival times are processed in input order."""
+    rng = np.random.default_rng(seed)
+    cluster = Cluster(ClusterSpec(workers=2, aggregators=1))
+    network = cluster.network
+    names = list(cluster.worker_hosts) + list(cluster.aggregator_hosts)
+    ref = {}
+    for name in names:
+        host = network.hosts[name]
+        host.tx_cpu_free_at, host.egress_free_at = rng.uniform(0, 2e-6, 2)
+        host.ingress_free_at, host.rx_cpu_free_at = rng.uniform(0, 2e-6, 2)
+        ref[name] = {
+            "tx": host.tx_cpu_free_at, "eg": host.egress_free_at,
+            "in": host.ingress_free_at, "rx": host.rx_cpu_free_at,
+            "tx_cost": host.tx_cpu_cost_s, "rx_cost": host.rx_cpu_cost_s,
+            "bw": host.bandwidth_bps, "sb": 0, "sp": 0, "rb": 0, "rp": 0,
+        }
+
+    # Repeated names are booked once (the ledger de-duplicates).
+    ledger = HostLedger(network, names + names[:1])
+    assert ledger.names == names
+    for kind, h, packets in ops:
+        r = ref[names[h]]
+        times = [t * 0.25e-6 for t, _ in packets]
+        sizes = np.array([size for _, size in packets], dtype=np.int64)
+        durations = [int(size) * (8.0 / r["bw"]) for size in sizes]
+        if kind == "send":
+            at = times[0]
+            got = ledger.send(h, at, sizes)
+            ready = _scalar_cpu([at] * len(sizes), r["tx_cost"], r["tx"])
+            done = _scalar_serialize(ready, durations, r["eg"])
+            r["tx"], r["eg"] = ready[-1], done[-1]
+            r["sb"] += int(sizes.sum())
+            r["sp"] += len(sizes)
+            assert got.tolist() == done
+        else:
+            arrivals = np.array(times)
+            got, order = ledger.recv(h, arrivals, sizes)
+            ref_order = sorted(range(len(times)), key=lambda i: times[i])
+            assert order.tolist() == ref_order  # ties keep input order
+            rx_done = _scalar_serialize(
+                [times[i] for i in ref_order],
+                [durations[i] for i in ref_order],
+                r["in"],
+            )
+            deliver = _scalar_cpu(rx_done, r["rx_cost"], r["rx"])
+            r["in"], r["rx"] = rx_done[-1], deliver[-1]
+            r["rb"] += int(sizes.sum())
+            r["rp"] += len(sizes)
+            expected = [0.0] * len(times)
+            for pos, i in enumerate(ref_order):
+                expected[i] = deliver[pos]
+            assert got.tolist() == expected
+    ledger.commit({"up": 7})
+
+    stats = network.stats
+    for name in names:
+        host, r = network.hosts[name], ref[name]
+        assert host.tx_cpu_free_at == r["tx"]
+        assert host.egress_free_at == r["eg"]
+        assert host.ingress_free_at == r["in"]
+        assert host.rx_cpu_free_at == r["rx"]
+        assert stats.bytes_sent[name] == r["sb"]
+        assert stats.packets_sent[name] == r["sp"]
+        assert stats.bytes_received[name] == r["rb"]
+        assert stats.packets_received[name] == r["rp"]
+    assert stats.flow_bytes["up"] == 7
